@@ -24,8 +24,6 @@ from .tte import DualCriterionTTEDesign
 # never depends on how work is scheduled.
 _CHUNK = 8192
 
-_MASK64 = (1 << 64) - 1
-
 _GO, _NOGO, _INCONCLUSIVE = 0, 1, 2
 
 
@@ -42,8 +40,8 @@ class SimulationConfig:
             raise ValueError(
                 f"n_replicates must be a positive integer, got {self.n_replicates}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0 <= self.scenario < 2**32:
             raise ValueError(f"scenario index must fit in 32 bits, got {self.scenario}")
 
@@ -66,9 +64,7 @@ def _uniform_stream(seed: int, scenario: int, n: int) -> np.ndarray:
     """n uniforms from Philox streams keyed by (seed, scenario, chunk)."""
     out = np.empty(n)
     for chunk in range((n + _CHUNK - 1) // _CHUNK):
-        key = np.array(
-            [seed & _MASK64, ((scenario << 32) | chunk) & _MASK64], dtype=np.uint64
-        )
+        key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         lo = chunk * _CHUNK
         hi = min(n, lo + _CHUNK)

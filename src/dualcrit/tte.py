@@ -213,7 +213,7 @@ def _dual_oc(
     u = max(decision_hr, t_sig)
     log_true = math.log(true_hr)
     p_go = std_normal_cdf((math.log(t) - log_true) / s)
-    p_nogo = 1.0 - std_normal_cdf((math.log(u) - log_true) / s)
+    p_nogo = std_normal_cdf((log_true - math.log(u)) / s)
     p_inconclusive = max(0.0, 1.0 - p_go - p_nogo)
     return OperatingCharacteristics(
         true_effect=true_hr, p_go=p_go, p_nogo=p_nogo, p_inconclusive=p_inconclusive
@@ -246,9 +246,12 @@ def oc_standard_tte(
     _check_positive(sigma, "sigma")
     s = sigma / math.sqrt(n_events)
     t_sig = significance_threshold(design.alpha, design.null_hr, sigma, n_events)
-    p_go = std_normal_cdf((math.log(t_sig) - math.log(true_hr)) / s)
+    x = (math.log(t_sig) - math.log(true_hr)) / s
     return OperatingCharacteristics(
-        true_effect=true_hr, p_go=p_go, p_nogo=1.0 - p_go, p_inconclusive=0.0
+        true_effect=true_hr,
+        p_go=std_normal_cdf(x),
+        p_nogo=std_normal_cdf(-x),
+        p_inconclusive=0.0,
     )
 
 

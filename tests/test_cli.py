@@ -326,6 +326,20 @@ class TestVerify:
         assert code == 2
         assert "replicates" in err
 
+    def test_seed_beyond_64_bits_rejected_without_traceback(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "dualcrit", "verify", "--config", TTE_CONFIGS[0],
+             "--seed", str(5 + 2**64), "--reps", "1000"],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: seed")
+        assert "Traceback" not in result.stderr
+
     def test_corrupt_flag_needs_binary_endpoint(self, capsys):
         code, _, err = run(
             capsys, "verify", "--config", TTE_CONFIGS[0],

@@ -7,7 +7,9 @@ integer-shape beta CDFs, and scipy's Cephes-based special functions.
 
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 from scipy.stats import beta as scipy_beta_dist
@@ -114,6 +116,22 @@ class TestStdNormalQuantile:
             assert std_normal_quantile(p) == pytest.approx(
                 float(scipy_norm.ppf(p)), abs=1e-9
             )
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-15, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-15])
+    def test_relative_accuracy_in_both_tails(self, p):
+        # statistics.NormalDist uses Wichura's AS241, not Cephes ndtri
+        expected = NormalDist().inv_cdf(p)
+        if p == 0.5:
+            assert std_normal_quantile(p) == 0.0
+        else:
+            assert std_normal_quantile(p) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_array_input_keeps_shape(self):
+        p = np.array([[1e-9, 0.2, 0.5], [0.6, 0.975, 1 - 1e-9]])
+        out = std_normal_quantile(p)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == p.shape
+        assert out.tolist() == [[std_normal_quantile(float(v)) for v in row] for row in p]
 
 
 def exact_binomial_tail(n: int, p: Fraction, r: int) -> Fraction:

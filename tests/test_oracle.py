@@ -35,6 +35,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
 
+    def test_rejects_seed_beyond_64_bits(self):
+        # the Philox key holds 64 bits of seed; a wider seed would alias
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(seed=2**64)
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(seed=5 + 2**64)
+        cfg = SimulationConfig(seed=2**64 - 1, n_replicates=1000)
+        assert sum(simulate_tte_oc(TTE_DESIGN, 0.7, cfg).counts) == 1000
+
     def test_counts_must_partition(self):
         good = simulate_binary_oc(BINARY_DESIGN, 0.1, SimulationConfig(seed=3, n_replicates=2000))
         with pytest.raises(ValueError):
@@ -75,6 +84,20 @@ class TestSimulateTTE:
         first = simulate_tte_oc(TTE_DESIGN, 0.5, cfg)
         second = simulate_tte_oc(TTE_DESIGN, 0.5, cfg)
         assert first.counts == second.counts
+
+    @pytest.mark.parametrize(
+        "alpha,decision_hr,n_events,seed,scenario,true_hr,counts",
+        [
+            (0.025, 0.8, 420, 5, 0, 0.8, (49919, 37282, 12799)),
+            (0.1, 0.7, 150, 20240611, 3, 0.65, (67551, 8688, 23761)),
+        ],
+    )
+    def test_counts_pinned(self, alpha, decision_hr, n_events, seed, scenario, true_hr, counts):
+        # fixed values from the stream layout and decision rule; any change
+        # to either, or to the inverse CDF beyond rounding, moves them
+        design = DualCriterionTTEDesign(alpha=alpha, decision_hr=decision_hr, n_events=n_events)
+        cfg = SimulationConfig(seed=seed, scenario=scenario)
+        assert simulate_tte_oc(design, true_hr, cfg).counts == counts
 
     def test_counts_partition_replicates(self):
         cfg = SimulationConfig(seed=9, n_replicates=12_345)

@@ -7,6 +7,7 @@ forms by a separate special-function implementation.
 
 import math
 import random
+from statistics import NormalDist
 
 import pytest
 from scipy.stats import norm as scipy_norm
@@ -179,6 +180,17 @@ class TestDualOperatingCharacteristics:
             assert oc.p_go == pytest.approx(oracle[0], abs=1e-12)
             assert oc.p_nogo == pytest.approx(oracle[1], abs=1e-12)
 
+    def test_nogo_far_tail_keeps_relative_accuracy(self):
+        # at HR 0.3 with 420 events the NO-GO tail is ~1.6e-25, far below
+        # the spacing of doubles near 1
+        design = DualCriterionTTEDesign(alpha=0.025, decision_hr=0.8, n_events=420)
+        s = 2.0 / math.sqrt(420)
+        t_sig = math.exp(-NormalDist().inv_cdf(0.975) * s)
+        x = (math.log(max(0.8, t_sig)) - math.log(0.3)) / s
+        expected = 0.5 * math.erfc(x / math.sqrt(2.0))
+        assert 1e-26 < expected < 1e-24
+        assert oc_dual_tte(design, 0.3).p_nogo == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_power_at_decision_value_is_exactly_half(self):
         for n in (52, 70, 103, 400):
             oc = oc_dual_tte(
@@ -255,6 +267,18 @@ class TestStandardOperatingCharacteristics:
             assert oc.p_go == pytest.approx(p_go, abs=1e-3)
             assert oc.p_nogo == pytest.approx(1.0 - p_go, abs=1e-3)
             assert oc.p_inconclusive == 0.0
+
+    def test_nogo_far_tail_keeps_relative_accuracy(self):
+        design = StandardTTEDesign(alpha=0.025, beta=0.1, alt_hr=0.5)
+        n = 420
+        s = 2.0 / math.sqrt(n)
+        t_sig = math.exp(-NormalDist().inv_cdf(0.975) * s)
+        x = (math.log(t_sig) - math.log(0.3)) / s
+        expected = 0.5 * math.erfc(x / math.sqrt(2.0))
+        assert expected < 1e-20
+        assert oc_standard_tte(design, 2.0, n, 0.3).p_nogo == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
 
     def test_half_power_at_threshold(self):
         design = StandardTTEDesign(alpha=0.1, beta=0.2, alt_hr=0.5)
