@@ -20,7 +20,7 @@ from .distributions import (
     BetaParams,
     beta_cdf,
     beta_quantile,
-    binomial_tail,
+    binomial_cut_probs,
     check_open_probability,
 )
 from .outcomes import Decision, InfeasibleDesignError, OperatingCharacteristics
@@ -114,13 +114,22 @@ def clinical_boundary(design: DualCriterionBinaryDesign) -> int | None:
     return None
 
 
-def min_responders(design: DualCriterionBinaryDesign) -> int | None:
-    """Smallest responder count meeting both criteria; None if unreachable."""
+def cut_points(design: DualCriterionBinaryDesign) -> tuple[int, int]:
+    """Cut points (lo, hi) of the decision on the responder count: GO at
+    r >= hi, NO-GO at r < lo. A boundary the design never reaches is n + 1.
+    """
+    unreachable = design.n + 1
     stat = statistical_boundary(design)
     clin = clinical_boundary(design)
-    if stat is None or clin is None:
-        return None
-    return max(stat, clin)
+    stat = unreachable if stat is None else stat
+    clin = unreachable if clin is None else clin
+    return min(stat, clin), max(stat, clin)
+
+
+def min_responders(design: DualCriterionBinaryDesign) -> int | None:
+    """Smallest responder count meeting both criteria; None if unreachable."""
+    hi = cut_points(design)[1]
+    return None if hi > design.n else hi
 
 
 def decide_binary(design: DualCriterionBinaryDesign, r: int) -> Decision:
@@ -182,16 +191,5 @@ def min_sample_size_grid(
 def oc_binary(design: DualCriterionBinaryDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact operating characteristics under a true response rate."""
     true_orr = check_open_probability(true_orr, "true_orr")
-    stat = statistical_boundary(design)
-    clin = clinical_boundary(design)
-    n = design.n
-    unreachable = n + 1
-    stat = unreachable if stat is None else stat
-    clin = unreachable if clin is None else clin
-    lo, hi = min(stat, clin), max(stat, clin)
-    p_go = binomial_tail(n, true_orr, hi)
-    p_nogo = 1.0 - binomial_tail(n, true_orr, lo)
-    p_inconclusive = max(0.0, 1.0 - p_go - p_nogo)
-    return OperatingCharacteristics(
-        true_effect=true_orr, p_go=p_go, p_nogo=p_nogo, p_inconclusive=p_inconclusive
-    )
+    lo, hi = cut_points(design)
+    return OperatingCharacteristics(true_orr, *binomial_cut_probs(design.n, true_orr, lo, hi))

@@ -12,13 +12,8 @@ Exit codes: 0 success, 2 config or parse error, 3 infeasible design,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import sys
 
-from . import binary as binary_mod
-from . import three_outcome as three_mod
-from . import tte as tte_mod
 from .config import (
     ConfigError,
     ResolvedDesign,
@@ -26,13 +21,12 @@ from .config import (
     dump_config,
     load_config,
     parse_value,
-    prior_of,
     resolve_design,
 )
-from .distributions import beta_cdf, beta_pdf, binomial_tail, std_normal_cdf
-from .oracle import SimulationConfig, simulate_binary_oc, simulate_tte_oc
-from .outcomes import DecisionTag, InfeasibleDesignError, OperatingCharacteristics
-from .tables import CSV_OC_HEADER, ResultTable, fmt3, fmt_full, render_tables, write_csv
+from .distributions import binomial_cut_probs
+from .oracle import SimulationConfig, monte_carlo_limit
+from .outcomes import InfeasibleDesignError, OperatingCharacteristics
+from .tables import CSV_OC_HEADER, ResultTable, fmt3, render_tables, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -40,13 +34,6 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
 
 MIN_REPORTED_REPLICATES = 1000
-
-_DECISION_LABEL = {
-    DecisionTag.GO: "GO",
-    DecisionTag.NOGO: "NO-GO",
-    DecisionTag.INCONCLUSIVE_SIG_NOT_RELEVANT: "INCONCLUSIVE (case 3)",
-    DecisionTag.INCONCLUSIVE_RELEVANT_NOT_SIG: "INCONCLUSIVE (case 4)",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,66 +136,21 @@ def _require_grid(rd: ResolvedDesign) -> list[float]:
     return rd.grid
 
 
-def _standard_events(rd: ResolvedDesign) -> int:
-    if rd.n_events is not None:
-        return rd.n_events
-    return tte_mod.standard_design_events(rd.design, rd.sigma)
-
-
-def _oc_row(rd: ResolvedDesign, true_effect: float) -> OperatingCharacteristics:
-    if rd.endpoint == "tte" and rd.kind == "dual":
-        return tte_mod.oc_dual_tte(rd.design, true_effect)
-    if rd.endpoint == "tte" and rd.kind == "standard":
-        return tte_mod.oc_standard_tte(rd.design, rd.sigma, _standard_events(rd), true_effect)
-    if rd.endpoint == "binary" and rd.kind == "dual":
-        return binary_mod.oc_binary(rd.design, true_effect)
-    if rd.kind == "three_outcome":
-        return three_mod.three_outcome_oc(rd.design, true_effect)
-    raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
-
-
-def _default_caption(rd: ResolvedDesign) -> str:
-    d = rd.design
-    if rd.endpoint == "tte" and rd.kind == "dual":
-        return (
-            f"dual-criterion (tte): alpha={fmt_full(d.alpha)}, "
-            f"null_hr={fmt_full(d.null_hr)}, decision_hr={fmt_full(d.decision_hr)}, "
-            f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
-        )
-    if rd.endpoint == "tte" and rd.kind == "standard":
-        return (
-            f"standard (tte): alpha={fmt_full(d.alpha)}, beta={fmt_full(d.beta)}, "
-            f"alt_hr={fmt_full(d.alt_hr)}, n_events={_standard_events(rd)}"
-        )
-    if rd.endpoint == "tte" and rd.kind == "precision":
-        return f"precision (tte): factor={fmt_full(d.factor)}, level={fmt_full(d.level)}"
-    if rd.endpoint == "binary" and rd.kind == "dual":
-        return (
-            f"dual-criterion (binary): prior=Beta({fmt_full(d.prior.a)}, "
-            f"{fmt_full(d.prior.b)}), null_orr={fmt_full(d.null_orr)}, "
-            f"sig_prob={fmt_full(d.sig_prob)}, decision_orr={fmt_full(d.decision_orr)}, "
-            f"n={d.n}"
-        )
-    return f"three-outcome (binary): n={d.n}, r_nogo={d.r_nogo}, r_go={d.r_go}"
-
-
 def _caption(rd: ResolvedDesign) -> str:
-    return rd.label if rd.label else _default_caption(rd)
-
-
-def _effect_header(rd: ResolvedDesign) -> str:
-    return "true_hr" if rd.endpoint == "tte" else "true_orr"
+    return rd.label if rd.label else rd.entry.caption(rd.design)
 
 
 def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteristics]]:
     grid = _require_grid(rd)
+    if rd.entry.oc is None:
+        raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
     table = ResultTable(
         caption=_caption(rd),
-        headers=[_effect_header(rd), "p_go", "p_nogo", "p_inconclusive"],
+        headers=[rd.entry.effect, "p_go", "p_nogo", "p_inconclusive"],
     )
     ocs = []
     for true_effect in grid:
-        oc = _oc_row(rd, true_effect)
+        oc = rd.entry.oc(rd.design, true_effect)
         ocs.append(oc)
         table.add_row([fmt3(oc.true_effect), fmt3(oc.p_go), fmt3(oc.p_nogo), fmt3(oc.p_inconclusive)])
     return table, ocs
@@ -217,80 +159,7 @@ def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteri
 def cmd_size(args) -> int:
     cfg = _effective_config(args, args.config)
     rd = resolve_design(cfg, require_n=False)
-    lines: list[str] = []
-    if rd.endpoint == "tte" and rd.kind == "dual":
-        alpha = cfg["alpha"]
-        null_hr = cfg.get("null_hr", 1.0)
-        decision_hr = cfg["decision_hr"]
-        level = cfg.get("level", 0.95)
-        n_min = tte_mod.min_events_dual(alpha, null_hr, decision_hr, rd.sigma)
-        lines.append(f"n_min = {n_min}")
-        # The estimate threshold for a GO is the tighter of the decision
-        # value and the significance threshold.
-        t_sig = tte_mod.significance_threshold(alpha, null_hr, rd.sigma, n_min)
-        lines.append(f"estimate threshold at n_min = {fmt3(min(decision_hr, t_sig))}")
-        lines.append(
-            f"implied CI half-width factor at n_min (level {fmt_full(level)}) = "
-            f"{fmt3(tte_mod.implied_precision_factor(rd.sigma, n_min, level))}"
-        )
-        if rd.design is not None:
-            n = rd.design.n_events
-            t_sig = rd.design.significance_threshold
-            lines.append(f"n_events = {n}")
-            lines.append(f"GO threshold at n_events = {fmt3(min(decision_hr, t_sig))}")
-            lines.append(f"significance threshold at n_events = {fmt3(t_sig)}")
-            lines.append(
-                f"implied CI half-width factor at n_events (level {fmt_full(level)}) = "
-                f"{fmt3(tte_mod.implied_precision_factor(rd.sigma, n, level))}"
-            )
-    elif rd.endpoint == "tte" and rd.kind == "standard":
-        n = _standard_events(rd)
-        lines.append(f"n = {n}")
-        threshold = tte_mod.significance_threshold(
-            rd.design.alpha, rd.design.null_hr, rd.sigma, n
-        )
-        lines.append(f"estimate threshold at n = {fmt3(threshold)}")
-        level = cfg.get("level", 0.95)
-        lines.append(
-            f"implied CI half-width factor at n (level {fmt_full(level)}) = "
-            f"{fmt3(tte_mod.implied_precision_factor(rd.sigma, n, level))}"
-        )
-    elif rd.endpoint == "tte" and rd.kind == "precision":
-        lines.append(f"n = {tte_mod.precision_events(rd.design)}")
-    elif rd.endpoint == "binary" and rd.kind == "dual":
-        n_min = binary_mod.min_sample_size_grid(
-            prior_of(cfg),
-            cfg["null_orr"],
-            cfg["sig_prob"],
-            cfg["decision_orr"],
-            n_max=cfg.get("n_max", binary_mod.DEFAULT_N_MAX),
-        )
-        lines.append(f"n_min = {n_min}")
-        if rd.design is not None:
-            r_go = binary_mod.min_responders(rd.design)
-            lines.append(f"n = {rd.design.n}")
-            lines.append(
-                "min responders for GO at n = "
-                + ("unreachable" if r_go is None else str(r_go))
-            )
-    else:  # binary three_outcome
-        design = rd.design
-        lines.append(f"n = {design.n}")
-        lines.append(f"NO-GO at r <= {design.r_nogo}")
-        lines.append(f"GO at r >= {design.r_go}")
-        if design.r_go - design.r_nogo > 1:
-            lines.append(
-                f"inconclusive at r in [{design.r_nogo + 1}, {design.r_go - 1}]"
-            )
-        pairs = three_mod.feasible_pairs(
-            design.n, design.p0, design.p1,
-            design.alpha, design.beta, design.eta, design.pi,
-        )
-        lines.append(
-            "feasible (r_nogo, r_go) pairs at n = "
-            + "; ".join(f"({rn}, {rg})" for rn, rg in pairs)
-        )
-    print("\n".join(lines))
+    print("\n".join(rd.entry.size(cfg, rd.design)))
     return EXIT_OK
 
 
@@ -300,105 +169,21 @@ def cmd_oc(args) -> int:
     table, ocs = _oc_table(rd)
     print(render_tables([table]), end="")
     if args.csv:
-        write_csv(
-            args.csv,
-            CSV_OC_HEADER,
-            [[oc.true_effect, oc.p_go, oc.p_nogo, oc.p_inconclusive] for oc in ocs],
-        )
+        write_csv(args.csv, CSV_OC_HEADER, [[oc.true_effect, *oc.probs] for oc in ocs])
     return EXIT_OK
 
 
 def cmd_decide(args) -> int:
     cfg = _effective_config(args, args.config)
     rd = resolve_design(cfg)
-    lines: list[str] = []
-    if rd.endpoint == "tte":
-        if rd.kind != "dual":
-            raise ConfigError("decide needs a dual-criterion design (tte)")
-        if args.csv:
-            raise ConfigError(
-                "--csv posterior output is only available for binary dual designs"
-            )
-        try:
-            estimate = float(args.observed)
-        except ValueError:
-            raise ConfigError(
-                f"--observed must be an estimated hazard ratio, got {args.observed!r}"
-            ) from None
-        design = rd.design
-        decision = tte_mod.decide_tte(design, estimate)
-        s = design.sigma / math.sqrt(design.n_events)
-        p_value = std_normal_cdf((math.log(estimate) - math.log(design.null_hr)) / s)
-        lines.append(
-            f"{_DECISION_LABEL[decision.tag]}: p_value={fmt3(p_value)}, "
-            f"estimate={fmt3(estimate)}"
-        )
-        lines.append(
-            f"statistical criterion: estimate <= {fmt3(design.significance_threshold)}"
-            f" (one-sided alpha {fmt_full(design.alpha)}) -> "
-            + ("met" if decision.significant else "not met")
-        )
-        lines.append(
-            f"clinical criterion: estimate <= {fmt3(design.decision_hr)} -> "
-            + ("met" if decision.relevant else "not met")
-        )
-    elif rd.kind == "dual":
-        r = _parse_responders(args.observed)
-        design = rd.design
-        decision = binary_mod.decide_binary(design, r)
-        summary = binary_mod.posterior_summary(design, r)
-        lines.append(
-            f"{_DECISION_LABEL[decision.tag]}: "
-            f"prob_positive={fmt3(summary.prob_positive)}, median={fmt3(summary.median)}"
-        )
-        lines.append(
-            f"statistical criterion: prob_positive >= {fmt_full(design.sig_prob)} -> "
-            + ("met" if decision.significant else "not met")
-        )
-        lines.append(
-            f"clinical criterion: median >= {fmt_full(design.decision_orr)} -> "
-            + ("met" if decision.relevant else "not met")
-        )
-        if args.csv:
-            _write_posterior_curve(args.csv, summary.posterior)
-    else:  # three_outcome
-        if args.csv:
-            raise ConfigError(
-                "--csv posterior output is only available for binary dual designs"
-            )
-        r = _parse_responders(args.observed)
-        design = rd.design
-        if not 0 <= r <= design.n:
-            raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
-        if r >= design.r_go:
-            outcome = "GO"
-        elif r <= design.r_nogo:
-            outcome = "NO-GO"
-        else:
-            outcome = "INCONCLUSIVE"
-        lines.append(
-            f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"
-        )
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def _write_posterior_curve(path: str, posterior) -> None:
-    """Posterior density and CDF on an interior ORR grid, for plotting."""
-    rows = []
-    for i in range(1000):
-        orr = (2 * i + 1) / 2000.0
-        rows.append([orr, beta_pdf(posterior, orr), beta_cdf(posterior, orr)])
-    write_csv(path, ["orr", "density", "cdf"], rows)
-
-
-def _parse_responders(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
+    if rd.entry.decide is None:
+        raise ConfigError(f"decide needs a dual-criterion design ({rd.endpoint})")
+    if args.csv and not rd.entry.posterior_csv:
         raise ConfigError(
-            f"--observed must be a responder count, got {text!r}"
-        ) from None
+            "--csv posterior output is only available for binary dual designs"
+        )
+    print("\n".join(rd.entry.decide(rd.design, args.observed, args.csv)))
+    return EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -419,35 +204,22 @@ def cmd_compare(args) -> int:
     for rd in resolved:
         table, ocs = _oc_table(rd)
         tables.append(table)
-        csv_rows.extend(
-            [_caption(rd), oc.true_effect, oc.p_go, oc.p_nogo, oc.p_inconclusive]
-            for oc in ocs
-        )
+        csv_rows.extend([_caption(rd), oc.true_effect, *oc.probs] for oc in ocs)
     print(render_tables(tables), end="")
     if args.csv:
         write_csv(args.csv, ["design"] + CSV_OC_HEADER, csv_rows)
     return EXIT_OK
 
 
-def _corrupted_binary_oc(design, true_orr: float, delta: int) -> OperatingCharacteristics:
-    """Analytic OC with the GO boundary shifted; the negative control."""
-    stat = binary_mod.statistical_boundary(design)
-    clin = binary_mod.clinical_boundary(design)
-    n = design.n
-    unreachable = n + 1
-    stat = unreachable if stat is None else stat
-    clin = unreachable if clin is None else clin
-    lo, hi = min(stat, clin), max(stat, clin)
-    hi = min(max(hi + delta, 0), unreachable)
-    lo = min(lo, hi)
-    p_go = binomial_tail(n, true_orr, hi)
-    p_nogo = 1.0 - binomial_tail(n, true_orr, lo)
-    return OperatingCharacteristics(
-        true_effect=true_orr,
-        p_go=p_go,
-        p_nogo=p_nogo,
-        p_inconclusive=max(0.0, 1.0 - p_go - p_nogo),
-    )
+def _shifted_go_oc(rd: ResolvedDesign, true_orr: float, delta: int) -> OperatingCharacteristics:
+    """Analytic OC with the GO cut point moved by delta responders and
+    clamped to [0, n + 1]; the negative control. A GO cut point moved below
+    the NO-GO one takes the NO-GO one with it.
+    """
+    n = rd.design.n
+    lo, hi = rd.entry.cut_points(rd.design)
+    hi = min(max(hi + delta, 0), n + 1)
+    return OperatingCharacteristics(true_orr, *binomial_cut_probs(n, true_orr, min(lo, hi), hi))
 
 
 def cmd_verify(args) -> int:
@@ -459,34 +231,27 @@ def cmd_verify(args) -> int:
             f"verify needs at least {MIN_REPORTED_REPLICATES} replicates, got {rd.reps}"
         )
     delta = args.corrupt_go_boundary
-    if delta and rd.endpoint != "binary":
+    if delta and rd.entry.cut_points is None:
         raise ConfigError("--corrupt-go-boundary applies to binary endpoints only")
-    if rd.kind not in ("dual", "three_outcome"):
+    if rd.entry.simulate is None:
         raise ConfigError(f"verify is not defined for {rd.kind} designs")
 
     table = ResultTable(
         caption=f"verify: {_caption(rd)} (seed={rd.seed}, reps={rd.reps})",
-        headers=[_effect_header(rd), "outcome", "analytic", "simulated", "diff", "limit_3se", "status"],
+        headers=[rd.entry.effect, "outcome", "analytic", "simulated", "diff", "limit_3se", "status"],
     )
     all_pass = True
     for index, true_effect in enumerate(grid):
         sim_cfg = SimulationConfig(seed=rd.seed, n_replicates=rd.reps, scenario=index)
-        if rd.endpoint == "tte":
-            analytic = tte_mod.oc_dual_tte(rd.design, true_effect)
-            simulated = simulate_tte_oc(rd.design, true_effect, sim_cfg)
+        if delta:
+            analytic = _shifted_go_oc(rd, true_effect, delta)
         else:
-            if delta and rd.kind == "three_outcome":
-                corrupted = dataclasses.replace(rd.design, r_go=rd.design.r_go + delta)
-                analytic = three_mod.three_outcome_oc(corrupted, true_effect)
-            elif delta:
-                analytic = _corrupted_binary_oc(rd.design, true_effect, delta)
-            else:
-                analytic = _oc_row(rd, true_effect)
-            simulated = simulate_binary_oc(rd.design, true_effect, sim_cfg)
+            analytic = rd.entry.oc(rd.design, true_effect)
+        simulated = rd.entry.simulate(rd.design, true_effect, sim_cfg)
         for name, p, p_hat in zip(
             ("p_go", "p_nogo", "p_inconclusive"), analytic.probs, simulated.oc.probs
         ):
-            limit = 3.0 * (p * (1.0 - p) / rd.reps) ** 0.5
+            limit = monte_carlo_limit(p, rd.reps)
             ok = abs(p - p_hat) <= limit
             all_pass = all_pass and ok
             table.add_row(

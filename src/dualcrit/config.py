@@ -1,31 +1,30 @@
-"""Flat key = value design configs and their translation into designs.
+"""Flat key = value design configs, and the registry of design kinds.
 
 One key per line, ``#`` starts a comment line, values are numbers,
 identifiers, or a comma-separated list for ``grid``. Keys are the design
-field names; command-line overrides replace file values before a design
-is built. Rates are proportions (0.075, never 7.5).
+field names and each may appear once; command-line overrides replace file
+values before a design is built. Rates are proportions (0.075, never 7.5).
+
+``DESIGNS`` maps each (endpoint, design_kind) pair to the one object that
+builds its design from a config and provides what the commands do with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .binary import DualCriterionBinaryDesign, prior_from_mean
-from .distributions import BetaParams
-from .outcomes import InfeasibleDesignError
-from .three_outcome import (
-    DEFAULT_N_MAX as THREE_OUTCOME_N_MAX,
-    ThreeOutcomeDesign,
-    find_three_outcome_design,
-)
-from .tte import DualCriterionTTEDesign, PrecisionTTEDesign, StandardTTEDesign
+from . import binary as binary_mod
+from . import oracle
+from . import three_outcome as three_mod
+from . import tte as tte_mod
+from .distributions import BetaParams, beta_cdf, beta_pdf, std_normal_cdf
+from .outcomes import Decision, InfeasibleDesignError
+from .tables import fmt3, fmt_full, write_csv
 
 DEFAULT_SEED = 42
 DEFAULT_REPLICATES = 100_000
-
-ENDPOINTS = ("tte", "binary")
-DESIGN_KINDS = ("dual", "standard", "precision", "three_outcome")
 
 # key -> parser; also fixes the canonical dump order.
 _SCHEMA: dict[str, str] = {
@@ -66,10 +65,10 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(key: str, text: str):
-    kind = _SCHEMA[key]
-    if kind == "str":
+    value_type = _SCHEMA[key]
+    if value_type == "str":
         return text
-    if kind == "grid":
+    if value_type == "grid":
         items = [piece.strip() for piece in text.split(",") if piece.strip()]
         if not items:
             raise ConfigError(f"grid must list at least one value, got {text!r}")
@@ -78,7 +77,7 @@ def _parse_scalar(key: str, text: str):
         except ValueError:
             raise ConfigError(f"grid values must be numbers, got {text!r}") from None
     try:
-        if kind == "int":
+        if value_type == "int":
             value = float(text)
             if value != int(value):
                 raise ValueError
@@ -96,6 +95,7 @@ def parse_value(key: str, text: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     cfg: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -104,6 +104,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(
+                f"{source}:{lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             cfg[key] = parse_value(key, value)
         except ConfigError as exc:
@@ -155,64 +160,338 @@ def _require(cfg: dict, *keys: str) -> None:
         )
 
 
-def endpoint_of(cfg: dict) -> str:
-    _require(cfg, "endpoint")
-    endpoint = cfg["endpoint"]
-    if endpoint not in ENDPOINTS:
-        raise ConfigError(f"endpoint must be one of {ENDPOINTS}, got {endpoint!r}")
-    return endpoint
-
-
-def design_kind_of(cfg: dict) -> str:
-    _require(cfg, "design_kind")
-    kind = cfg["design_kind"]
-    if kind not in DESIGN_KINDS:
-        raise ConfigError(f"design_kind must be one of {DESIGN_KINDS}, got {kind!r}")
-    endpoint = endpoint_of(cfg)
-    valid = {"tte": ("dual", "standard", "precision"), "binary": ("dual", "three_outcome")}
-    if kind not in valid[endpoint]:
-        raise ConfigError(
-            f"design_kind {kind!r} is not available for endpoint {endpoint!r}"
-        )
-    return kind
-
-
 def prior_of(cfg: dict) -> BetaParams:
     b = cfg.get("prior_b", 1.0)
     if "prior_a" in cfg:
         return BetaParams(a=cfg["prior_a"], b=b)
     if "prior_mean" in cfg:
-        return prior_from_mean(cfg["prior_mean"], b=b)
+        return binary_mod.prior_from_mean(cfg["prior_mean"], b=b)
     raise ConfigError("binary designs need prior_a (or prior_mean), plus prior_b")
+
+
+def _observed(text: str, parse, what: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"--observed must be {what}, got {text!r}") from None
+
+
+def _decision_lines(decision: Decision, values: str, statistical: str, clinical: str) -> list[str]:
+    label = decision.tag.value
+    if decision.is_inconclusive:
+        label = f"INCONCLUSIVE (case {decision.case})"
+    return [
+        f"{label}: {values}",
+        f"statistical criterion: {statistical} -> " + ("met" if decision.significant else "not met"),
+        f"clinical criterion: {clinical} -> " + ("met" if decision.relevant else "not met"),
+    ]
+
+
+def _precision_line(at: str, sigma: float, n_events: int, level: float) -> str:
+    return (
+        f"implied CI half-width factor at {at} (level {fmt_full(level)}) = "
+        f"{fmt3(tte_mod.implied_precision_factor(sigma, n_events, level))}"
+    )
+
+
+def _write_posterior_curve(path: str, posterior: BetaParams) -> None:
+    """Posterior density and CDF on an interior ORR grid, for plotting."""
+    rows = []
+    for i in range(1000):
+        orr = (2 * i + 1) / 2000.0
+        rows.append([orr, beta_pdf(posterior, orr), beta_cdf(posterior, orr)])
+    write_csv(path, ["orr", "density", "cdf"], rows)
+
+
+class DesignEntry:
+    """What one (endpoint, design_kind) pair provides to the commands.
+
+    Every entry has ``build(cfg, require_n)``, which returns the design
+    (None when the config leaves the size to ``size``), ``size(cfg,
+    design)`` and ``effect``, the true-effect column heading. A capability
+    is None where the kind lacks it: ``oc`` with its ``caption``;
+    ``decide``, given a CSV path only if ``posterior_csv``;
+    ``simulate`` for verify; ``cut_points``, the responder cut points
+    (lo, hi) that the verify negative control shifts. Entries call the
+    library through its modules, so a patched module attribute reaches
+    every call.
+    """
+
+    effect = "true_hr"
+    posterior_csv = False
+    oc = caption = decide = simulate = cut_points = None
+
+
+class _TTEDual(DesignEntry):
+    def build(self, cfg, require_n):
+        _require(cfg, "alpha", "decision_hr")
+        if "n_events" not in cfg and not require_n:
+            return None
+        _require(cfg, "n_events")
+        return tte_mod.DualCriterionTTEDesign(
+            alpha=cfg["alpha"],
+            decision_hr=cfg["decision_hr"],
+            n_events=cfg["n_events"],
+            null_hr=cfg.get("null_hr", 1.0),
+            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
+        )
+
+    def size(self, cfg, design):
+        alpha = cfg["alpha"]
+        null_hr = cfg.get("null_hr", 1.0)
+        decision_hr = cfg["decision_hr"]
+        sigma = cfg.get("sigma", tte_mod.DEFAULT_SIGMA)
+        level = cfg.get("level", 0.95)
+        n_min = tte_mod.min_events_dual(alpha, null_hr, decision_hr, sigma)
+        # The estimate threshold for a GO is the tighter of the decision
+        # value and the significance threshold.
+        t_sig = tte_mod.significance_threshold(alpha, null_hr, sigma, n_min)
+        lines = [
+            f"n_min = {n_min}",
+            f"estimate threshold at n_min = {fmt3(min(decision_hr, t_sig))}",
+            _precision_line("n_min", sigma, n_min, level),
+        ]
+        if design is not None:
+            t_sig = design.significance_threshold
+            lines += [
+                f"n_events = {design.n_events}",
+                f"GO threshold at n_events = {fmt3(min(decision_hr, t_sig))}",
+                f"significance threshold at n_events = {fmt3(t_sig)}",
+                _precision_line("n_events", sigma, design.n_events, level),
+            ]
+        return lines
+
+    def caption(self, d):
+        return (
+            f"dual-criterion (tte): alpha={fmt_full(d.alpha)}, "
+            f"null_hr={fmt_full(d.null_hr)}, decision_hr={fmt_full(d.decision_hr)}, "
+            f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
+        )
+
+    def oc(self, design, true_hr):
+        return tte_mod.oc_dual_tte(design, true_hr)
+
+    def decide(self, design, observed, csv_path):
+        estimate = _observed(observed, float, "an estimated hazard ratio")
+        decision = tte_mod.decide_tte(design, estimate)
+        s = design.sigma / math.sqrt(design.n_events)
+        p_value = std_normal_cdf((math.log(estimate) - math.log(design.null_hr)) / s)
+        return _decision_lines(
+            decision,
+            f"p_value={fmt3(p_value)}, estimate={fmt3(estimate)}",
+            f"estimate <= {fmt3(design.significance_threshold)}"
+            f" (one-sided alpha {fmt_full(design.alpha)})",
+            f"estimate <= {fmt3(design.decision_hr)}",
+        )
+
+    def simulate(self, design, true_hr, sim_cfg):
+        return oracle.simulate_tte_oc(design, true_hr, sim_cfg)
+
+
+@dataclass(frozen=True)
+class SizedStandardDesign:
+    """A standard TTE design with the sigma and event count it is run at."""
+
+    design: tte_mod.StandardTTEDesign
+    sigma: float
+    n_events: int
+
+
+class _TTEStandard(DesignEntry):
+    def build(self, cfg, require_n):
+        _require(cfg, "alpha", "beta", "alt_hr")
+        design = tte_mod.StandardTTEDesign(
+            alpha=cfg["alpha"],
+            beta=cfg["beta"],
+            alt_hr=cfg["alt_hr"],
+            null_hr=cfg.get("null_hr", 1.0),
+        )
+        sigma = cfg.get("sigma", tte_mod.DEFAULT_SIGMA)
+        if "n_events" in cfg:
+            return SizedStandardDesign(design, sigma, cfg["n_events"])
+        return SizedStandardDesign(design, sigma, tte_mod.standard_design_events(design, sigma))
+
+    def size(self, cfg, s):
+        threshold = tte_mod.significance_threshold(
+            s.design.alpha, s.design.null_hr, s.sigma, s.n_events
+        )
+        return [
+            f"n = {s.n_events}",
+            f"estimate threshold at n = {fmt3(threshold)}",
+            _precision_line("n", s.sigma, s.n_events, cfg.get("level", 0.95)),
+        ]
+
+    def caption(self, s):
+        d = s.design
+        return (
+            f"standard (tte): alpha={fmt_full(d.alpha)}, beta={fmt_full(d.beta)}, "
+            f"alt_hr={fmt_full(d.alt_hr)}, n_events={s.n_events}"
+        )
+
+    def oc(self, s, true_hr):
+        return tte_mod.oc_standard_tte(s.design, s.sigma, s.n_events, true_hr)
+
+
+class _TTEPrecision(DesignEntry):
+    def build(self, cfg, require_n):
+        _require(cfg, "factor")
+        return tte_mod.PrecisionTTEDesign(
+            factor=cfg["factor"],
+            level=cfg.get("level", 0.95),
+            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
+        )
+
+    def size(self, cfg, design):
+        return [f"n = {tte_mod.precision_events(design)}"]
+
+
+class _Binary(DesignEntry):
+    effect = "true_orr"
+
+    def simulate(self, design, true_orr, sim_cfg):
+        return oracle.simulate_binary_oc(design, true_orr, sim_cfg)
+
+
+class _BinaryDual(_Binary):
+    posterior_csv = True
+
+    def build(self, cfg, require_n):
+        _require(cfg, "null_orr", "sig_prob", "decision_orr")
+        prior = prior_of(cfg)
+        if "n" not in cfg and not require_n:
+            return None
+        _require(cfg, "n")
+        return binary_mod.DualCriterionBinaryDesign(
+            prior=prior,
+            null_orr=cfg["null_orr"],
+            sig_prob=cfg["sig_prob"],
+            decision_orr=cfg["decision_orr"],
+            n=cfg["n"],
+        )
+
+    def size(self, cfg, design):
+        n_min = binary_mod.min_sample_size_grid(
+            prior_of(cfg),
+            cfg["null_orr"],
+            cfg["sig_prob"],
+            cfg["decision_orr"],
+            n_max=cfg.get("n_max", binary_mod.DEFAULT_N_MAX),
+        )
+        lines = [f"n_min = {n_min}"]
+        if design is not None:
+            r_go = binary_mod.min_responders(design)
+            lines.append(f"n = {design.n}")
+            lines.append(
+                "min responders for GO at n = "
+                + ("unreachable" if r_go is None else str(r_go))
+            )
+        return lines
+
+    def caption(self, d):
+        return (
+            f"dual-criterion (binary): prior=Beta({fmt_full(d.prior.a)}, "
+            f"{fmt_full(d.prior.b)}), null_orr={fmt_full(d.null_orr)}, "
+            f"sig_prob={fmt_full(d.sig_prob)}, decision_orr={fmt_full(d.decision_orr)}, "
+            f"n={d.n}"
+        )
+
+    def oc(self, design, true_orr):
+        return binary_mod.oc_binary(design, true_orr)
+
+    def decide(self, design, observed, csv_path):
+        r = _observed(observed, int, "a responder count")
+        decision = binary_mod.decide_binary(design, r)
+        summary = binary_mod.posterior_summary(design, r)
+        if csv_path:
+            _write_posterior_curve(csv_path, summary.posterior)
+        return _decision_lines(
+            decision,
+            f"prob_positive={fmt3(summary.prob_positive)}, median={fmt3(summary.median)}",
+            f"prob_positive >= {fmt_full(design.sig_prob)}",
+            f"median >= {fmt_full(design.decision_orr)}",
+        )
+
+    def cut_points(self, design):
+        return binary_mod.cut_points(design)
+
+
+class _ThreeOutcome(_Binary):
+    def build(self, cfg, require_n):
+        keys = ("p0", "p1", "alpha", "beta", "eta", "pi")
+        _require(cfg, *keys)
+        constraints = {key: cfg[key] for key in keys}
+        boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
+        if len(boundary_keys) == 3:
+            return three_mod.ThreeOutcomeDesign(
+                n=cfg["n"], r_go=cfg["r_go"], r_nogo=cfg["r_nogo"], **constraints
+            )
+        if boundary_keys:
+            raise ConfigError(
+                "three_outcome designs need either all of n, r_go, r_nogo or none"
+            )
+        return three_mod.find_three_outcome_design(
+            **constraints, n_max=cfg.get("n_max", three_mod.DEFAULT_N_MAX)
+        )
+
+    def size(self, cfg, d):
+        lines = [f"n = {d.n}", f"NO-GO at r <= {d.r_nogo}", f"GO at r >= {d.r_go}"]
+        if d.r_go - d.r_nogo > 1:
+            lines.append(f"inconclusive at r in [{d.r_nogo + 1}, {d.r_go - 1}]")
+        pairs = three_mod.feasible_pairs(d.n, d.p0, d.p1, d.alpha, d.beta, d.eta, d.pi)
+        lines.append(
+            "feasible (r_nogo, r_go) pairs at n = "
+            + "; ".join(f"({rn}, {rg})" for rn, rg in pairs)
+        )
+        return lines
+
+    def caption(self, d):
+        return f"three-outcome (binary): n={d.n}, r_nogo={d.r_nogo}, r_go={d.r_go}"
+
+    def oc(self, design, true_orr):
+        return three_mod.three_outcome_oc(design, true_orr)
+
+    def decide(self, design, observed, csv_path):
+        r = _observed(observed, int, "a responder count")
+        if not 0 <= r <= design.n:
+            raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
+        lo, hi = self.cut_points(design)
+        outcome = "GO" if r >= hi else "INCONCLUSIVE" if r >= lo else "NO-GO"
+        return [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
+
+    def cut_points(self, design):
+        return design.r_nogo + 1, design.r_go
+
+
+DESIGNS: dict[tuple[str, str], DesignEntry] = {
+    ("tte", "dual"): _TTEDual(),
+    ("tte", "standard"): _TTEStandard(),
+    ("tte", "precision"): _TTEPrecision(),
+    ("binary", "dual"): _BinaryDual(),
+    ("binary", "three_outcome"): _ThreeOutcome(),
+}
+ENDPOINTS, DESIGN_KINDS = (tuple(dict.fromkeys(names)) for names in zip(*DESIGNS))
+
+
+def _choice(cfg: dict, key: str, choices: tuple[str, ...]) -> str:
+    _require(cfg, key)
+    if cfg[key] not in choices:
+        raise ConfigError(f"{key} must be one of {choices}, got {cfg[key]!r}")
+    return cfg[key]
 
 
 @dataclass(frozen=True)
 class ResolvedDesign:
-    """A built design plus the run parameters the commands share."""
+    """A built design, its registry entry, and the run parameters the
+    commands share."""
 
     endpoint: str
     kind: str
+    entry: DesignEntry
     design: object
     label: str | None
     grid: list[float] | None
-    sigma: float
-    n_events: int | None
     seed: int
     reps: int
-
-
-def _wrap(cfg, design, *, sigma=2.0, n_events=None) -> ResolvedDesign:
-    return ResolvedDesign(
-        endpoint=endpoint_of(cfg),
-        kind=design_kind_of(cfg),
-        design=design,
-        label=cfg.get("label"),
-        grid=cfg.get("grid"),
-        sigma=sigma,
-        n_events=n_events,
-        seed=cfg.get("seed", DEFAULT_SEED),
-        reps=cfg.get("reps", DEFAULT_REPLICATES),
-    )
 
 
 def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
@@ -222,87 +501,26 @@ def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
     designs whose size the ``size`` command derives; the design slot is
     then None and only the sizing inputs are validated.
     """
-    endpoint = endpoint_of(cfg)
-    kind = design_kind_of(cfg)
+    endpoint = _choice(cfg, "endpoint", ENDPOINTS)
+    kind = _choice(cfg, "design_kind", DESIGN_KINDS)
+    if (endpoint, kind) not in DESIGNS:
+        raise ConfigError(
+            f"design_kind {kind!r} is not available for endpoint {endpoint!r}"
+        )
+    entry = DESIGNS[endpoint, kind]
     try:
-        if endpoint == "tte" and kind == "dual":
-            _require(cfg, "alpha", "decision_hr")
-            sigma = cfg.get("sigma", 2.0)
-            if "n_events" not in cfg and not require_n:
-                return _wrap(cfg, None, sigma=sigma)
-            _require(cfg, "n_events")
-            design = DualCriterionTTEDesign(
-                alpha=cfg["alpha"],
-                decision_hr=cfg["decision_hr"],
-                n_events=cfg["n_events"],
-                null_hr=cfg.get("null_hr", 1.0),
-                sigma=sigma,
-            )
-            return _wrap(cfg, design, sigma=sigma, n_events=cfg["n_events"])
-        if endpoint == "tte" and kind == "standard":
-            _require(cfg, "alpha", "beta", "alt_hr")
-            design = StandardTTEDesign(
-                alpha=cfg["alpha"],
-                beta=cfg["beta"],
-                alt_hr=cfg["alt_hr"],
-                null_hr=cfg.get("null_hr", 1.0),
-            )
-            return _wrap(
-                cfg, design, sigma=cfg.get("sigma", 2.0), n_events=cfg.get("n_events")
-            )
-        if endpoint == "tte" and kind == "precision":
-            _require(cfg, "factor")
-            design = PrecisionTTEDesign(
-                factor=cfg["factor"],
-                level=cfg.get("level", 0.95),
-                sigma=cfg.get("sigma", 2.0),
-            )
-            return _wrap(cfg, design, sigma=design.sigma)
-        if endpoint == "binary" and kind == "dual":
-            _require(cfg, "null_orr", "sig_prob", "decision_orr")
-            prior = prior_of(cfg)
-            if "n" not in cfg and not require_n:
-                return _wrap(cfg, None)
-            _require(cfg, "n")
-            design = DualCriterionBinaryDesign(
-                prior=prior,
-                null_orr=cfg["null_orr"],
-                sig_prob=cfg["sig_prob"],
-                decision_orr=cfg["decision_orr"],
-                n=cfg["n"],
-            )
-            return _wrap(cfg, design)
-        # binary three_outcome
-        _require(cfg, "p0", "p1", "alpha", "beta", "eta", "pi")
-        boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
-        if len(boundary_keys) == 3:
-            design = ThreeOutcomeDesign(
-                n=cfg["n"],
-                r_go=cfg["r_go"],
-                r_nogo=cfg["r_nogo"],
-                p0=cfg["p0"],
-                p1=cfg["p1"],
-                alpha=cfg["alpha"],
-                beta=cfg["beta"],
-                eta=cfg["eta"],
-                pi=cfg["pi"],
-            )
-        elif boundary_keys:
-            raise ConfigError(
-                "three_outcome designs need either all of n, r_go, r_nogo or none"
-            )
-        else:
-            design = find_three_outcome_design(
-                p0=cfg["p0"],
-                p1=cfg["p1"],
-                alpha=cfg["alpha"],
-                beta=cfg["beta"],
-                eta=cfg["eta"],
-                pi=cfg["pi"],
-                n_max=cfg.get("n_max", THREE_OUTCOME_N_MAX),
-            )
-        return _wrap(cfg, design)
+        design = entry.build(cfg, require_n)
     except (ConfigError, InfeasibleDesignError):
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return ResolvedDesign(
+        endpoint=endpoint,
+        kind=kind,
+        entry=entry,
+        design=design,
+        label=cfg.get("label"),
+        grid=cfg.get("grid"),
+        seed=cfg.get("seed", DEFAULT_SEED),
+        reps=cfg.get("reps", DEFAULT_REPLICATES),
+    )

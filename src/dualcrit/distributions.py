@@ -114,16 +114,27 @@ def binomial_tail(n: int, p: float, r: int) -> float:
 
     Accepts r in [0, n+1]; r = 0 gives 1 and r = n+1 gives 0.
     """
-    p = _check_binomial_args(n, p)
     if not 0 <= r <= n + 1:
         raise ValueError(f"r must lie in [0, {n + 1}], got {r}")
-    if r == 0:
-        return 1.0
-    if r == n + 1:
-        return 0.0
-    # fsum keeps the partition identity tail(r) - tail(r+1) == pmf(r)
-    # accurate to a couple of ulps even for n ~ 1e4.
-    return min(1.0, math.fsum(binomial_pmf(n, p, k) for k in range(r, n + 1)))
+    tail = binomial_cut_probs(n, p, 0, r)[0]
+    return 1.0 if r == 0 else tail
+
+
+def binomial_cut_probs(n: int, p: float, lo: int, hi: int) -> tuple[float, float, float]:
+    """(P(R >= hi), P(R < lo), P(lo <= R < hi)) for R ~ Binomial(n, p).
+
+    The three outcomes of a rule with cut points 0 <= lo <= hi <= n + 1 on
+    the count: GO at or above hi, NO-GO below lo, inconclusive between.
+    Each part is summed from the pmf, so a small part keeps its relative
+    accuracy instead of flushing to zero as a difference from 1 would, and
+    fsum keeps tail(r) - tail(r + 1) == pmf(r) to a couple of ulps even for
+    n ~ 1e4. A part holding nearly all the mass is capped at 1.
+    """
+    p = _check_binomial_args(n, p)
+    if not 0 <= lo <= hi <= n + 1:
+        raise ValueError(f"cut points must satisfy 0 <= lo <= hi <= {n + 1}, got {lo}, {hi}")
+    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
+    return tuple(min(1.0, math.fsum(part)) for part in (pmf[hi:], pmf[:lo], pmf[lo:hi]))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

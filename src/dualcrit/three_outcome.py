@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import binomial_pmf, check_open_probability
+from .distributions import binomial_cut_probs, binomial_pmf, check_open_probability
 from .outcomes import InfeasibleDesignError, OperatingCharacteristics
 
 DEFAULT_N_MAX = 100
@@ -55,8 +55,8 @@ class ThreeOutcomeDesign:
 
     def constraint_values(self) -> dict[str, float]:
         """Attained values of the four constrained probabilities."""
-        go_p0, nogo_p0, _ = _zone_probs(self.n, self.r_nogo, self.r_go, self.p0)
-        go_p1, nogo_p1, _ = _zone_probs(self.n, self.r_nogo, self.r_go, self.p1)
+        go_p0, nogo_p0, _ = binomial_cut_probs(self.n, self.p0, self.r_nogo + 1, self.r_go)
+        go_p1, nogo_p1, _ = binomial_cut_probs(self.n, self.p1, self.r_nogo + 1, self.r_go)
         return {
             "go_under_p0": go_p0,
             "nogo_under_p1": nogo_p1,
@@ -74,20 +74,11 @@ class ThreeOutcomeDesign:
         )
 
 
-def _zone_probs(n: int, r_nogo: int, r_go: int, p: float) -> tuple[float, float, float]:
-    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
-    p_nogo = math.fsum(pmf[: r_nogo + 1])
-    p_go = math.fsum(pmf[r_go:])
-    return p_go, p_nogo, max(0.0, 1.0 - p_go - p_nogo)
-
-
 def three_outcome_oc(design: ThreeOutcomeDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact GO / NO-GO / inconclusive probabilities at a true rate."""
     true_orr = check_open_probability(true_orr, "true_orr")
-    p_go, p_nogo, p_inc = _zone_probs(design.n, design.r_nogo, design.r_go, true_orr)
-    return OperatingCharacteristics(
-        true_effect=true_orr, p_go=p_go, p_nogo=p_nogo, p_inconclusive=p_inc
-    )
+    probs = binomial_cut_probs(design.n, true_orr, design.r_nogo + 1, design.r_go)
+    return OperatingCharacteristics(true_orr, *probs)
 
 
 def feasible_pairs(

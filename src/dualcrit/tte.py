@@ -244,8 +244,8 @@ def oc_standard_tte(
     """Operating characteristics of a standard design (GO or NO-GO only)."""
     _check_positive(true_hr, "true_hr")
     _check_positive(sigma, "sigma")
-    s = sigma / math.sqrt(n_events)
     t_sig = significance_threshold(design.alpha, design.null_hr, sigma, n_events)
+    s = sigma / math.sqrt(n_events)
     x = (math.log(t_sig) - math.log(true_hr)) / s
     return OperatingCharacteristics(
         true_effect=true_hr,

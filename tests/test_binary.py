@@ -225,6 +225,12 @@ class TestOperatingCharacteristics:
                 assert oc.p_nogo == pytest.approx(float(nogo), abs=1e-12)
                 assert oc.p_inconclusive == pytest.approx(float(inc), abs=1e-12)
 
+    def test_far_tail_nogo_keeps_relative_accuracy(self):
+        # 1 - P(R >= 5) leaves 1.4e-15 of rounding here; the exact mass is 5e-24
+        oc = oc_binary(make_design(25), 0.95)
+        _, nogo, _ = exact_zone_probs(25, Fraction(0.95), 5, 5)
+        assert oc.p_nogo == pytest.approx(float(nogo), rel=1e-12, abs=0)
+
     def test_rows_sum_to_one(self):
         for n in (1, 7, 25, 36, 120):
             for true_orr in (0.01, 0.075, 0.175, 0.5, 0.9):

@@ -2,6 +2,7 @@
 config round-trips, CSV output, and exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,18 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m dualcrit`` in a child process importing this checkout."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "dualcrit", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
 
 
 class TestSize:
@@ -288,6 +301,14 @@ class TestConfigRoundTrip:
         code, _, err = run(capsys, "size", "--config", str(cfg))
         assert code == 2
 
+    def test_duplicate_key_rejected_with_both_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("endpoint = tte\ndesign_kind = dual\nalpha = 0.1\n# again\nalpha = 0.3\n")
+        code, out, err = run(capsys, "size", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:5: duplicate key 'alpha', first set on line 3\n"
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "size", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
@@ -319,6 +340,15 @@ class TestVerify:
         )
         assert code == 4
 
+    def test_near_certain_outcome(self, capsys):
+        # At ORR 0.9 the pmf summed over the GO counts exceeds 1 by a few ulps.
+        code, out, _ = run(
+            capsys, "verify", "--config", BINARY_CONFIGS[2],
+            "--grid", "0.05,0.3,0.9", "--seed", "11", "--reps", "3000",
+        )
+        assert code == 0
+        assert "verification PASSED" in out
+
     def test_too_few_replicates_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--config", BINARY_CONFIGS[2], "--reps", "500"
@@ -327,12 +357,8 @@ class TestVerify:
         assert "replicates" in err
 
     def test_seed_beyond_64_bits_rejected_without_traceback(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "dualcrit", "verify", "--config", TTE_CONFIGS[0],
-             "--seed", str(5 + 2**64), "--reps", "1000"],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
+        result = run_module(
+            "verify", "--config", TTE_CONFIGS[0], "--seed", str(5 + 2**64), "--reps", "1000"
         )
         assert result.returncode == 2
         assert result.stdout == ""
@@ -346,6 +372,78 @@ class TestVerify:
             "--reps", "2000", "--corrupt-go-boundary", "1",
         )
         assert code == 2
+
+
+NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
+NOT_BINARY = "error: --corrupt-go-boundary applies to binary endpoints only"
+DECIDE_NEEDS_DUAL = "error: decide needs a dual-criterion design (tte)"
+PASS, FAIL = (0, ""), (4, "")
+
+# The config and an observed value for each design kind; None is the
+# precision design written by the test.
+KIND_CONFIGS = {
+    "tte_dual": (TTE_CONFIGS[0], "0.9"),
+    "tte_standard": (TTE_CONFIGS[2], "0.9"),
+    "tte_precision": (None, "0.9"),
+    "binary_dual": (BINARY_CONFIGS[0], "5"),
+    "three_outcome": (BINARY_CONFIGS[2], "4"),
+}
+VERIFY = ["verify", "--seed", "7", "--reps", "20000"]
+MATRIX_COMMANDS = {
+    "size": ["size"],
+    "oc": ["oc"],
+    "decide": ["decide", "--observed", "{observed}"],
+    "decide --csv": ["decide", "--observed", "{observed}", "--csv", "{csv}"],
+    "verify": VERIFY,
+    "verify --corrupt-go-boundary 1": VERIFY + ["--corrupt-go-boundary", "1"],
+    "verify --corrupt-go-boundary -1": VERIFY + ["--corrupt-go-boundary", "-1"],
+    "verify --corrupt-go-boundary 3": VERIFY + ["--corrupt-go-boundary", "3"],
+    "verify --corrupt-go-boundary -3": VERIFY + ["--corrupt-go-boundary", "-3"],
+}
+# (exit code, first stderr line) per kind, in the order of MATRIX_COMMANDS.
+# A GO cut point shifted below the NO-GO one takes the NO-GO one along, so
+# the three-outcome negative control at -3 fails verification (exit 4).
+MATRIX = {
+    "tte_dual": [PASS, PASS, PASS, (2, NO_POSTERIOR_CSV), PASS] + [(2, NOT_BINARY)] * 4,
+    "tte_standard": [
+        PASS, PASS, (2, DECIDE_NEEDS_DUAL), (2, DECIDE_NEEDS_DUAL),
+        (2, "error: verify is not defined for standard designs"),
+    ] + [(2, NOT_BINARY)] * 4,
+    "tte_precision": [
+        PASS,
+        (2, "error: operating characteristics are not defined for precision designs"),
+        (2, DECIDE_NEEDS_DUAL), (2, DECIDE_NEEDS_DUAL),
+        (2, "error: verify is not defined for precision designs"),
+    ] + [(2, NOT_BINARY)] * 4,
+    "binary_dual": [PASS] * 5 + [FAIL] * 4,
+    "three_outcome": [PASS, PASS, PASS, (2, NO_POSTERIOR_CSV), PASS] + [FAIL] * 4,
+}
+
+
+class TestCapabilityMatrix:
+    """Every command against every design kind: exit code and first error line."""
+
+    @pytest.mark.parametrize(
+        "kind,command,expected",
+        [
+            pytest.param(kind, command, expected, id=f"{kind}-{command}")
+            for kind, row in MATRIX.items()
+            for command, expected in zip(MATRIX_COMMANDS, row)
+        ],
+    )
+    def test_exit_code_and_first_error_line(self, capsys, tmp_path, kind, command, expected):
+        path, observed = KIND_CONFIGS[kind]
+        if path is None:
+            path = tmp_path / "precision.cfg"
+            path.write_text(
+                "endpoint = tte\ndesign_kind = precision\nfactor = 1.2\ngrid = 0.5, 1.0\n"
+            )
+        argv = [
+            arg.format(observed=observed, csv=tmp_path / "posterior.csv")
+            for arg in MATRIX_COMMANDS[command]
+        ]
+        code, _, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert (code, (err.splitlines() or [""])[0]) == expected
 
 
 class TestInfeasibleExitCode:
@@ -372,11 +470,6 @@ class TestInfeasibleExitCode:
 
 
 def test_module_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "dualcrit", "size", "--config", TTE_CONFIGS[0]],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-    )
+    result = run_module("size", "--config", TTE_CONFIGS[0])
     assert result.returncode == 0
     assert "n_min = 52" in result.stdout

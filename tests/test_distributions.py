@@ -21,6 +21,7 @@ from dualcrit.distributions import (
     beta_cdf,
     beta_pdf,
     beta_quantile,
+    binomial_cut_probs,
     binomial_pmf,
     binomial_tail,
     std_normal_cdf,
@@ -179,6 +180,26 @@ class TestBinomial:
             binomial_tail(10, 0.5, 12)
         with pytest.raises(ValueError):
             binomial_tail(10, 0.5, -1)
+
+    @pytest.mark.parametrize(
+        "n,p,lo,hi",
+        [(10, 0.5, 3, 7), (25, 0.95, 5, 5), (27, 0.9, 4, 5), (12, 0.3, 0, 13), (12, 0.3, 6, 6), (12, 0.3, 13, 13)],
+    )
+    def test_cut_probs_against_exact_sums(self, n, p, lo, hi):
+        # Every part keeps its relative accuracy, including a NO-GO mass of
+        # 5e-24 at (25, 0.95) that 1 - P(R >= lo) would round to 1e-15.
+        exact = Fraction(p)
+        tail_lo, tail_hi = exact_binomial_tail(n, exact, lo), exact_binomial_tail(n, exact, hi)
+        want = (tail_hi, 1 - tail_lo, tail_lo - tail_hi)
+        got = binomial_cut_probs(n, p, lo, hi)
+        assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0)
+        assert all(0.0 <= part <= 1.0 for part in got)
+
+    def test_cut_probs_rejects_crossed_cut_points(self):
+        with pytest.raises(ValueError):
+            binomial_cut_probs(10, 0.5, 6, 5)
+        with pytest.raises(ValueError):
+            binomial_cut_probs(10, 0.5, 0, 12)
 
     def test_large_n_no_underflow(self):
         value = binomial_tail(10_000, 0.001, 30)

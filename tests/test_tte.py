@@ -292,6 +292,12 @@ class TestStandardOperatingCharacteristics:
             n = standard_design_events(design, 2.0)
             assert oc_standard_tte(design, 2.0, n, 0.5).p_go >= 1.0 - beta
 
+    @pytest.mark.parametrize("n_events", [0, -4])
+    def test_rejects_fewer_than_one_event(self, n_events):
+        design = StandardTTEDesign(alpha=0.1, beta=0.2, alt_hr=0.5)
+        with pytest.raises(ValueError, match="n_events must be at least 1"):
+            oc_standard_tte(design, 2.0, n_events, 0.7)
+
 
 class TestDecide:
     def test_both_criteria_met(self):
