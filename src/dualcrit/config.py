@@ -76,15 +76,22 @@ def _parse_scalar(key: str, text: str):
             return [float(piece) for piece in items]
         except ValueError:
             raise ConfigError(f"grid values must be numbers, got {text!r}") from None
+    if value_type == "int":
+        # int() keeps integers past 2**53 exact, where float() would round
+        # them; forms such as "4.0e2" go on to the checks below.
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
-        if value_type == "int":
-            value = float(text)
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"value for {key!r} must be a number, got {text!r}") from None
+    if value_type == "int":
+        if not value.is_integer():
+            raise ConfigError(f"value for {key!r} must be an integer, got {text!r}")
+        return int(value)
+    return value
 
 
 def parse_value(key: str, text: str):
@@ -162,6 +169,8 @@ def _require(cfg: dict, *keys: str) -> None:
 
 def prior_of(cfg: dict) -> BetaParams:
     b = cfg.get("prior_b", 1.0)
+    if "prior_a" in cfg and "prior_mean" in cfg:
+        raise ConfigError("give prior_a or prior_mean, not both")
     if "prior_a" in cfg:
         return BetaParams(a=cfg["prior_a"], b=b)
     if "prior_mean" in cfg:
@@ -206,7 +215,8 @@ def _write_posterior_curve(path: str, posterior: BetaParams) -> None:
 class DesignEntry:
     """What one (endpoint, design_kind) pair provides to the commands.
 
-    Every entry has ``build(cfg, require_n)``, which returns the design
+    Every entry has ``keys``, the config keys it reads beyond
+    ``COMMON_KEYS``; ``build(cfg, require_n)``, which returns the design
     (None when the config leaves the size to ``size``), ``size(cfg,
     design)`` and ``effect``, the true-effect column heading. A capability
     is None where the kind lacks it: ``oc`` with its ``caption``;
@@ -223,6 +233,8 @@ class DesignEntry:
 
 
 class _TTEDual(DesignEntry):
+    keys = ("alpha", "decision_hr", "n_events", "null_hr", "sigma", "level")
+
     def build(self, cfg, require_n):
         _require(cfg, "alpha", "decision_hr")
         if "n_events" not in cfg and not require_n:
@@ -298,6 +310,8 @@ class SizedStandardDesign:
 
 
 class _TTEStandard(DesignEntry):
+    keys = ("alpha", "beta", "alt_hr", "null_hr", "sigma", "n_events", "level")
+
     def build(self, cfg, require_n):
         _require(cfg, "alpha", "beta", "alt_hr")
         design = tte_mod.StandardTTEDesign(
@@ -333,6 +347,8 @@ class _TTEStandard(DesignEntry):
 
 
 class _TTEPrecision(DesignEntry):
+    keys = ("factor", "level", "sigma")
+
     def build(self, cfg, require_n):
         _require(cfg, "factor")
         return tte_mod.PrecisionTTEDesign(
@@ -353,6 +369,7 @@ class _Binary(DesignEntry):
 
 
 class _BinaryDual(_Binary):
+    keys = ("prior_a", "prior_b", "prior_mean", "null_orr", "sig_prob", "decision_orr", "n", "n_max")
     posterior_csv = True
 
     def build(self, cfg, require_n):
@@ -416,10 +433,12 @@ class _BinaryDual(_Binary):
 
 
 class _ThreeOutcome(_Binary):
+    keys = ("p0", "p1", "alpha", "beta", "eta", "pi", "n", "r_go", "r_nogo", "n_max")
+
     def build(self, cfg, require_n):
-        keys = ("p0", "p1", "alpha", "beta", "eta", "pi")
-        _require(cfg, *keys)
-        constraints = {key: cfg[key] for key in keys}
+        constraint_keys = ("p0", "p1", "alpha", "beta", "eta", "pi")
+        _require(cfg, *constraint_keys)
+        constraints = {key: cfg[key] for key in constraint_keys}
         boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
         if len(boundary_keys) == 3:
             return three_mod.ThreeOutcomeDesign(
@@ -470,6 +489,8 @@ DESIGNS: dict[tuple[str, str], DesignEntry] = {
     ("binary", "three_outcome"): _ThreeOutcome(),
 }
 ENDPOINTS, DESIGN_KINDS = (tuple(dict.fromkeys(names)) for names in zip(*DESIGNS))
+# Keys every design kind accepts; the run parameters ``ResolvedDesign`` carries.
+COMMON_KEYS = ("endpoint", "design_kind", "label", "grid", "seed", "reps")
 
 
 def _choice(cfg: dict, key: str, choices: tuple[str, ...]) -> str:
@@ -499,7 +520,9 @@ def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
 
     With ``require_n=False`` the sample-size field may be absent for
     designs whose size the ``size`` command derives; the design slot is
-    then None and only the sizing inputs are validated.
+    then None and only the sizing inputs are validated. A key the design
+    kind does not read is an error, so a value meant for another kind is
+    never silently dropped.
     """
     endpoint = _choice(cfg, "endpoint", ENDPOINTS)
     kind = _choice(cfg, "design_kind", DESIGN_KINDS)
@@ -508,6 +531,9 @@ def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
             f"design_kind {kind!r} is not available for endpoint {endpoint!r}"
         )
     entry = DESIGNS[endpoint, kind]
+    unread = [key for key in cfg if key not in COMMON_KEYS and key not in entry.keys]
+    if unread:
+        raise ConfigError(f"{endpoint} {kind} designs do not read key(s): {', '.join(unread)}")
     try:
         design = entry.build(cfg, require_n)
     except (ConfigError, InfeasibleDesignError):

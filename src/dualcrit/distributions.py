@@ -5,6 +5,11 @@ probabilities, and the regularized incomplete beta function with its
 inverse. Only the three families the designs need; this is not a general
 distribution library.
 
+numpy and scipy are imported by the two normal functions that use them,
+not with this module, so the binary designs run on the standard library
+alone and a command that never touches a normal distribution does not pay
+for loading them.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -12,9 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import erfc, ndtri
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +66,9 @@ def std_normal_cdf(x):
     Accepts a float or an ndarray and returns the same shape. Built on
     erfc so both tails keep full relative accuracy.
     """
+    import numpy as np
+    from scipy.special import erfc
+
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("std_normal_cdf requires finite input")
@@ -79,6 +84,9 @@ def std_normal_quantile(p):
     Cephes ``ndtri``, a rational approximation with full relative
     accuracy in both tails, down to the smallest positive doubles.
     """
+    import numpy as np
+    from scipy.special import ndtri
+
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("std_normal_quantile requires 0 < p < 1")

@@ -4,21 +4,25 @@ Replicates are driven by counter-based Philox streams keyed by
 (seed, scenario, chunk), with a fixed chunk size, so results are
 bit-identical for a given seed no matter how the chunks are executed or
 in what order the counts are reduced. Normal draws go through the same
-inverse-CDF code path the analytic formulas use.
+inverse-CDF code path the analytic formulas use. numpy is imported by the
+functions that draw and count, so importing this module for
+``SimulationConfig`` or ``monte_carlo_limit`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .binary import DualCriterionBinaryDesign, decide_binary
 from .distributions import binomial_pmf, std_normal_quantile
 from .outcomes import DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Replicates per keyed stream; fixed so that the replicate -> stream map
 # never depends on how work is scheduled.
@@ -62,6 +66,8 @@ class SimulatedOC:
 
 def _uniform_stream(seed: int, scenario: int, n: int) -> np.ndarray:
     """n uniforms from Philox streams keyed by (seed, scenario, chunk)."""
+    import numpy as np
+
     out = np.empty(n)
     for chunk in range((n + _CHUNK - 1) // _CHUNK):
         key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
@@ -73,6 +79,8 @@ def _uniform_stream(seed: int, scenario: int, n: int) -> np.ndarray:
 
 
 def _summarize(true_effect: float, codes: np.ndarray, n: int) -> SimulatedOC:
+    import numpy as np
+
     counts = np.bincount(codes, minlength=3)
     n_go, n_nogo, n_inc = (int(counts[c]) for c in (_GO, _NOGO, _INCONCLUSIVE))
     probs = (n_go / n, n_nogo / n, n_inc / n)
@@ -92,6 +100,8 @@ def simulate_tte_oc(
     """Draw HR estimates from the log-normal sampling model and tabulate
     the decisions they trigger.
     """
+    import numpy as np
+
     if not true_hr > 0.0:
         raise ValueError(f"true_hr must be positive, got {true_hr}")
     n = cfg.n_replicates
@@ -121,6 +131,8 @@ def simulate_binary_oc(
     each drawn count, independently of the boundary arithmetic the
     analytic operating characteristics use.
     """
+    import numpy as np
+
     if not 0.0 < true_orr < 1.0:
         raise ValueError(f"true_orr must lie in (0, 1), got {true_orr}")
     n_trials = design.n

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dualcrit.cli import main
-from dualcrit.config import load_config, resolve_design
+from dualcrit.config import load_config, parse_value, resolve_design
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -26,11 +26,12 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """``python -m dualcrit`` in a child process importing this checkout."""
+def run_module(*argv, python_args=("-m", "dualcrit")) -> subprocess.CompletedProcess:
+    """``python -m dualcrit`` in a child process importing this checkout;
+    ``python_args`` replaces ``-m dualcrit`` ahead of ``argv``."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "dualcrit", *argv],
+        [sys.executable, *python_args, *argv],
         capture_output=True,
         text=True,
         cwd=REPO,
@@ -309,6 +310,41 @@ class TestConfigRoundTrip:
         assert out == ""
         assert err == f"error: {cfg}:5: duplicate key 'alpha', first set on line 3\n"
 
+    def test_key_the_design_kind_does_not_read_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "size", "--config", TTE_CONFIGS[0],
+            "--set", "alt_hr=0.5", "--set", "r_go=3", "--set", "prior_mean=0.3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: tte dual designs do not read key(s): alt_hr, r_go, prior_mean\n"
+
+    def test_prior_mean_beside_prior_a_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "size", "--config", BINARY_CONFIGS[0], "--set", "prior_mean=0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: give prior_a or prior_mean, not both\n"
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_configs_use_only_keys_they_read(self, path):
+        resolve_design(load_config(path))
+
+    @pytest.mark.parametrize("text", ["3.5", "inf", "nan"])
+    def test_non_integral_value_for_integer_key(self, capsys, text):
+        code, out, err = run(
+            capsys, "size", "--config", TTE_CONFIGS[2], "--set", f"n_events={text}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: value for 'n_events' must be an integer, got '{text}'\n"
+
+    def test_integer_keys_parse_exactly(self):
+        # A route through float would round 2**64 - 1 up to 2**64.
+        assert parse_value("seed", str(2**64 - 1)) == 2**64 - 1
+        assert parse_value("n_events", "4.0e2") == 400
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "size", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
@@ -473,3 +509,58 @@ def test_module_entry_point_runs():
     result = run_module("size", "--config", TTE_CONFIGS[0])
     assert result.returncode == 0
     assert "n_min = 52" in result.stdout
+
+
+# Runs ``python -m dualcrit ARGV`` (or only ``import dualcrit`` when ARGV is
+# empty) and, as the interpreter exits, prints which of numpy and scipy it
+# had loaded.
+LOADED_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("loaded:", *sorted({"numpy", "scipy"} & set(sys.modules))))
+if sys.argv[1:]:
+    runpy.run_module("dualcrit", run_name="__main__", alter_sys=True)
+else:
+    import dualcrit
+"""
+BINARY_DUAL = BINARY_CONFIGS[:2]
+THREE_OUTCOME = BINARY_CONFIGS[2]
+
+
+class TestImportBoundary:
+    """numpy and scipy load only in the functions that compute on arrays:
+    the binary commands run on the standard library, binary ``verify``
+    needs numpy for the oracle, and the TTE designs need scipy's ndtri and
+    erfc."""
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            pytest.param((), (), id="import"),
+            *(
+                pytest.param(("size", "--config", path), (), id=f"size-{Path(path).stem}")
+                for path in BINARY_CONFIGS
+            ),
+            *(
+                pytest.param(("oc", "--config", path, "--csv", "{tmp}/oc.csv"), (),
+                             id=f"oc-csv-{Path(path).stem}")
+                for path in BINARY_CONFIGS
+            ),
+            *(
+                pytest.param(("decide", "--config", path, "--observed", "5", "--csv", "{tmp}/post.csv"),
+                             (), id=f"decide-csv-{Path(path).stem}")
+                for path in BINARY_DUAL
+            ),
+            pytest.param(("decide", "--config", THREE_OUTCOME, "--observed", "4"), (),
+                         id="decide-three-outcome"),
+            pytest.param(("compare", *(x for p in BINARY_CONFIGS for x in ("--config", p))), (),
+                         id="compare-binary"),
+            pytest.param(("verify", "--config", THREE_OUTCOME, "--seed", "7", "--reps", "20000"), ("numpy",),
+                         id="verify-binary"),
+            pytest.param(("size", "--config", TTE_CONFIGS[0]), ("numpy", "scipy"), id="size-tte"),
+        ],
+    )
+    def test_modules_loaded_at_exit(self, tmp_path, argv, loaded):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        result = run_module(*argv, python_args=("-c", LOADED_PROBE))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == ["loaded:", *loaded]

@@ -1,12 +1,17 @@
-"""Properties of the binary designs over random inputs, by hypothesis.
+"""Properties of the designs and their configs over random inputs, by
+hypothesis.
 
-The exact operating characteristics must be the binomial mass of the
-counts that the design's own decision rule sends to each outcome, with
-scipy's pmf as an independent reference, and P(GO) must not fall as the
-true response rate rises.
+The exact binary operating characteristics must be the binomial mass of
+the counts that the design's own decision rule sends to each outcome, with
+scipy's pmf as an independent reference. P(GO) must not fall as the true
+response rate rises, nor rise as the true hazard ratio rises. A dumped
+config of every design kind must parse back to the same design.
 """
 
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +19,10 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
-from dualcrit.config import DESIGNS
+from dualcrit.config import DESIGNS, dump_config, parse_config_text, resolve_design
 from dualcrit.distributions import BetaParams
 from dualcrit.three_outcome import ThreeOutcomeDesign, three_outcome_oc
+from dualcrit.tte import DualCriterionTTEDesign, min_events_dual, oc_dual_tte
 
 PROPERTY = settings(derandomize=True, deadline=None)
 # Every pmf term stays above 1e-300 for these rates and n <= 80.
@@ -84,3 +90,130 @@ def test_binary_dual_p_go_nondecreasing_in_orr(design, a, b):
 def test_three_outcome_p_go_nondecreasing_in_orr(design, a, b):
     low, high = sorted((a, b))
     assert three_outcome_oc(design, low).p_go <= three_outcome_oc(design, high).p_go + MONOTONE_TOL
+
+
+@st.composite
+def tte_dual_designs(draw):
+    alpha = draw(st.floats(0.01, 0.3))
+    decision_hr = draw(st.floats(0.3, 0.9))
+    sigma = draw(st.floats(1.0, 3.0))
+    # At or above the minimum, so the design raises no below-minimum warning.
+    n_events = min_events_dual(alpha, 1.0, decision_hr, sigma) + draw(st.integers(0, 500))
+    return DualCriterionTTEDesign(alpha=alpha, decision_hr=decision_hr, n_events=n_events, sigma=sigma)
+
+
+HAZARD_RATIOS = st.floats(0.05, 3.0)
+
+
+@PROPERTY
+@given(tte_dual_designs(), HAZARD_RATIOS, HAZARD_RATIOS)
+def test_tte_dual_p_go_nonincreasing_in_hr(design, a, b):
+    low, high = sorted((a, b))
+    assert oc_dual_tte(design, high).p_go <= oc_dual_tte(design, low).p_go + MONOTONE_TOL
+
+
+def optional(value):
+    return st.one_of(st.none(), value)
+
+
+PROBS = st.floats(0.01, 0.99)
+LEVELS = st.floats(0.5, 0.99)
+
+
+@st.composite
+def tte_dual_configs(draw):
+    alpha, decision_hr = draw(st.floats(0.01, 0.3)), draw(st.floats(0.3, 0.9))
+    return dict(
+        design_kind="dual", alpha=alpha, decision_hr=decision_hr,
+        sigma=draw(optional(st.floats(1.0, 3.0))), level=draw(optional(LEVELS)),
+        n_events=draw(optional(st.integers(1, 3000))), null_hr=draw(optional(st.just(1.0))),
+    )
+
+
+@st.composite
+def tte_standard_configs(draw):
+    return dict(
+        design_kind="standard", alpha=draw(st.floats(0.01, 0.3)), beta=draw(st.floats(0.05, 0.3)),
+        alt_hr=draw(st.floats(0.3, 0.9)), null_hr=draw(optional(st.floats(0.95, 1.2))),
+        sigma=draw(optional(st.floats(1.0, 3.0))), level=draw(optional(LEVELS)),
+        n_events=draw(optional(st.integers(1, 3000))),
+    )
+
+
+@st.composite
+def tte_precision_configs(draw):
+    return dict(
+        design_kind="precision", factor=draw(st.floats(1.05, 3.0)),
+        level=draw(optional(LEVELS)), sigma=draw(optional(st.floats(1.0, 3.0))),
+    )
+
+
+@st.composite
+def binary_dual_configs(draw):
+    null_orr = draw(st.floats(0.02, 0.6))
+    prior_key = draw(st.sampled_from(("prior_a", "prior_mean")))
+    return {
+        "endpoint": "binary", "design_kind": "dual",
+        prior_key: draw(st.floats(0.05, 0.9)), "prior_b": draw(optional(st.floats(0.2, 3.0))),
+        "null_orr": null_orr, "sig_prob": draw(st.floats(0.51, 0.99)),
+        "decision_orr": draw(st.floats(null_orr + 0.01, null_orr + 0.35)),
+        "n": draw(optional(st.integers(1, 500))), "n_max": draw(optional(st.integers(1, 2000))),
+    }
+
+
+@st.composite
+def three_outcome_configs(draw):
+    n = draw(st.integers(1, 200))
+    r_nogo = draw(st.integers(0, n - 1))
+    p0 = draw(st.floats(0.02, 0.6))
+    return dict(
+        endpoint="binary", design_kind="three_outcome", p0=p0, p1=draw(st.floats(p0 + 0.01, 0.95)),
+        alpha=draw(PROBS), beta=draw(PROBS), eta=draw(PROBS), pi=draw(PROBS),
+        n=n, r_nogo=r_nogo, r_go=draw(st.integers(r_nogo + 1, n)),
+        n_max=draw(optional(st.integers(1, 500))),
+    )
+
+
+CONFIGS_BY_KIND = {
+    ("tte", "dual"): tte_dual_configs(),
+    ("tte", "standard"): tte_standard_configs(),
+    ("tte", "precision"): tte_precision_configs(),
+    ("binary", "dual"): binary_dual_configs(),
+    ("binary", "three_outcome"): three_outcome_configs(),
+}
+# Stripped, single-line labels; "=" and "#" inside a value are kept verbatim.
+LABELS = st.text(string.ascii_letters + string.digits + " .,=#()-", min_size=1, max_size=30).map(
+    str.strip
+).filter(bool)
+
+
+@st.composite
+def run_keys(draw):
+    return dict(
+        label=draw(optional(LABELS)),
+        grid=draw(optional(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6))),
+        seed=draw(optional(st.integers(0, 2**64 - 1))),
+        reps=draw(optional(st.integers(1, 10**7))),
+    )
+
+
+def test_every_registry_kind_has_a_config_strategy():
+    assert CONFIGS_BY_KIND.keys() == DESIGNS.keys()
+
+
+@pytest.mark.filterwarnings("ignore:n_events=.* is below the minimum:UserWarning")
+@pytest.mark.parametrize("kind", list(CONFIGS_BY_KIND), ids="-".join)
+def test_dumped_config_rebuilds_an_equal_design(kind):
+    @PROPERTY
+    @given(CONFIGS_BY_KIND[kind], run_keys())
+    def check(drawn, run):
+        cfg = {"endpoint": kind[0], **drawn, **run}
+        cfg = {key: value for key, value in cfg.items() if value is not None}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dump.cfg"
+            dump_config(cfg, path)
+            parsed = parse_config_text(path.read_text(encoding="utf-8"))
+        assert parsed == cfg
+        assert resolve_design(parsed, require_n=False) == resolve_design(cfg, require_n=False)
+
+    check()
