@@ -37,6 +37,7 @@ from .oracle import (
     within_monte_carlo_error,
 )
 from .outcomes import (
+    CutRule,
     Decision,
     DecisionTag,
     InfeasibleDesignError,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaParams",
+    "CutRule",
     "Decision",
     "DecisionTag",
     "DualCriterionBinaryDesign",

@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import (
-    BetaParams,
-    beta_cdf,
-    beta_quantile,
-    binomial_cut_probs,
-    check_open_probability,
-)
-from .outcomes import Decision, InfeasibleDesignError, OperatingCharacteristics
+from .distributions import BetaParams, beta_cdf, beta_quantile, check_open_probability
+from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics
 
 DEFAULT_N_MAX = 1000
 
@@ -114,21 +108,18 @@ def clinical_boundary(design: DualCriterionBinaryDesign) -> int | None:
     return None
 
 
-def cut_points(design: DualCriterionBinaryDesign) -> tuple[int, int]:
-    """Cut points (lo, hi) of the decision on the responder count: GO at
-    r >= hi, NO-GO at r < lo. A boundary the design never reaches is n + 1.
+def cut_rule(design: DualCriterionBinaryDesign) -> CutRule:
+    """The decision as cut points on the responder count: GO at r >= hi,
+    NO-GO at r < lo. A boundary the design never reaches is n + 1.
     """
-    unreachable = design.n + 1
-    stat = statistical_boundary(design)
-    clin = clinical_boundary(design)
-    stat = unreachable if stat is None else stat
-    clin = unreachable if clin is None else clin
-    return min(stat, clin), max(stat, clin)
+    boundaries = (statistical_boundary(design), clinical_boundary(design))
+    stat, clin = (design.n + 1 if r is None else r for r in boundaries)
+    return CutRule(min(stat, clin), max(stat, clin), n=design.n)
 
 
 def min_responders(design: DualCriterionBinaryDesign) -> int | None:
     """Smallest responder count meeting both criteria; None if unreachable."""
-    hi = cut_points(design)[1]
+    hi = cut_rule(design).hi
     return None if hi > design.n else hi
 
 
@@ -190,6 +181,4 @@ def min_sample_size_grid(
 
 def oc_binary(design: DualCriterionBinaryDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact operating characteristics under a true response rate."""
-    true_orr = check_open_probability(true_orr, "true_orr")
-    lo, hi = cut_points(design)
-    return OperatingCharacteristics(true_orr, *binomial_cut_probs(design.n, true_orr, lo, hi))
+    return cut_rule(design).oc(true_orr)

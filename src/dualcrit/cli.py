@@ -23,7 +23,6 @@ from .config import (
     parse_value,
     resolve_design,
 )
-from .distributions import binomial_cut_probs
 from .oracle import SimulationConfig, monte_carlo_limit
 from .outcomes import InfeasibleDesignError, OperatingCharacteristics
 from .tables import CSV_OC_HEADER, ResultTable, fmt3, render_tables, write_csv
@@ -109,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="DELTA",
-        help="negative control: shift the analytic GO boundary by DELTA "
-        "responders (binary endpoints only) so the check must fail",
+        help="negative control: shift the analytic GO cut point by DELTA "
+        "responders (binary) or DELTA standard errors of the log HR (tte) so "
+        "the check must fail; +DELTA makes GO harder",
     )
     sp.set_defaults(handler=cmd_verify)
     return parser
@@ -142,16 +142,15 @@ def _caption(rd: ResolvedDesign) -> str:
 
 def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteristics]]:
     grid = _require_grid(rd)
-    if rd.entry.oc is None:
+    if rd.entry.cuts is None:
         raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
+    rule = rd.entry.cuts(rd.design)
     table = ResultTable(
         caption=_caption(rd),
         headers=[rd.entry.effect, "p_go", "p_nogo", "p_inconclusive"],
     )
-    ocs = []
-    for true_effect in grid:
-        oc = rd.entry.oc(rd.design, true_effect)
-        ocs.append(oc)
+    ocs = [rule.oc(true_effect) for true_effect in grid]
+    for oc in ocs:
         table.add_row([fmt3(oc.true_effect), fmt3(oc.p_go), fmt3(oc.p_nogo), fmt3(oc.p_inconclusive)])
     return table, ocs
 
@@ -211,17 +210,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _shifted_go_oc(rd: ResolvedDesign, true_orr: float, delta: int) -> OperatingCharacteristics:
-    """Analytic OC with the GO cut point moved by delta responders and
-    clamped to [0, n + 1]; the negative control. A GO cut point moved below
-    the NO-GO one takes the NO-GO one with it.
-    """
-    n = rd.design.n
-    lo, hi = rd.entry.cut_points(rd.design)
-    hi = min(max(hi + delta, 0), n + 1)
-    return OperatingCharacteristics(true_orr, *binomial_cut_probs(n, true_orr, min(lo, hi), hi))
-
-
 def cmd_verify(args) -> int:
     cfg = _effective_config(args, args.config)
     rd = resolve_design(cfg)
@@ -230,11 +218,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"verify needs at least {MIN_REPORTED_REPLICATES} replicates, got {rd.reps}"
         )
-    delta = args.corrupt_go_boundary
-    if delta and rd.entry.cut_points is None:
-        raise ConfigError("--corrupt-go-boundary applies to binary endpoints only")
     if rd.entry.simulate is None:
         raise ConfigError(f"verify is not defined for {rd.kind} designs")
+    rule = rd.entry.cuts(rd.design).shifted(args.corrupt_go_boundary)
 
     table = ResultTable(
         caption=f"verify: {_caption(rd)} (seed={rd.seed}, reps={rd.reps})",
@@ -243,10 +229,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     for index, true_effect in enumerate(grid):
         sim_cfg = SimulationConfig(seed=rd.seed, n_replicates=rd.reps, scenario=index)
-        if delta:
-            analytic = _shifted_go_oc(rd, true_effect, delta)
-        else:
-            analytic = rd.entry.oc(rd.design, true_effect)
+        analytic = rule.oc(true_effect)
         simulated = rd.entry.simulate(rd.design, true_effect, sim_cfg)
         for name, p, p_hat in zip(
             ("p_go", "p_nogo", "p_inconclusive"), analytic.probs, simulated.oc.probs

@@ -219,17 +219,16 @@ class DesignEntry:
     ``COMMON_KEYS``; ``build(cfg, require_n)``, which returns the design
     (None when the config leaves the size to ``size``), ``size(cfg,
     design)`` and ``effect``, the true-effect column heading. A capability
-    is None where the kind lacks it: ``oc`` with its ``caption``;
-    ``decide``, given a CSV path only if ``posterior_csv``;
-    ``simulate`` for verify; ``cut_points``, the responder cut points
-    (lo, hi) that the verify negative control shifts. Entries call the
-    library through its modules, so a patched module attribute reaches
-    every call.
+    is None where the kind lacks it: ``cuts``, the design's ``CutRule``
+    (its OC and, shifted, the verify negative control), with its
+    ``caption``; ``decide``, given a CSV path only if ``posterior_csv``;
+    ``simulate`` for verify. Entries call the library through its modules,
+    so a patched module attribute reaches every call.
     """
 
     effect = "true_hr"
     posterior_csv = False
-    oc = caption = decide = simulate = cut_points = None
+    cuts = caption = decide = simulate = None
 
 
 class _TTEDual(DesignEntry):
@@ -280,8 +279,8 @@ class _TTEDual(DesignEntry):
             f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
         )
 
-    def oc(self, design, true_hr):
-        return tte_mod.oc_dual_tte(design, true_hr)
+    def cuts(self, d):
+        return tte_mod.dual_cut_rule(d.alpha, d.null_hr, d.decision_hr, d.sigma, d.n_events)
 
     def decide(self, design, observed, csv_path):
         estimate = _observed(observed, float, "an estimated hazard ratio")
@@ -342,8 +341,8 @@ class _TTEStandard(DesignEntry):
             f"alt_hr={fmt_full(d.alt_hr)}, n_events={s.n_events}"
         )
 
-    def oc(self, s, true_hr):
-        return tte_mod.oc_standard_tte(s.design, s.sigma, s.n_events, true_hr)
+    def cuts(self, s):
+        return tte_mod.standard_cut_rule(s.design, s.sigma, s.n_events)
 
 
 class _TTEPrecision(DesignEntry):
@@ -412,9 +411,6 @@ class _BinaryDual(_Binary):
             f"n={d.n}"
         )
 
-    def oc(self, design, true_orr):
-        return binary_mod.oc_binary(design, true_orr)
-
     def decide(self, design, observed, csv_path):
         r = _observed(observed, int, "a responder count")
         decision = binary_mod.decide_binary(design, r)
@@ -428,8 +424,8 @@ class _BinaryDual(_Binary):
             f"median >= {fmt_full(design.decision_orr)}",
         )
 
-    def cut_points(self, design):
-        return binary_mod.cut_points(design)
+    def cuts(self, design):
+        return binary_mod.cut_rule(design)
 
 
 class _ThreeOutcome(_Binary):
@@ -466,19 +462,16 @@ class _ThreeOutcome(_Binary):
     def caption(self, d):
         return f"three-outcome (binary): n={d.n}, r_nogo={d.r_nogo}, r_go={d.r_go}"
 
-    def oc(self, design, true_orr):
-        return three_mod.three_outcome_oc(design, true_orr)
-
     def decide(self, design, observed, csv_path):
         r = _observed(observed, int, "a responder count")
         if not 0 <= r <= design.n:
             raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
-        lo, hi = self.cut_points(design)
-        outcome = "GO" if r >= hi else "INCONCLUSIVE" if r >= lo else "NO-GO"
+        rule = self.cuts(design)
+        outcome = "GO" if r >= rule.hi else "INCONCLUSIVE" if r >= rule.lo else "NO-GO"
         return [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
 
-    def cut_points(self, design):
-        return design.r_nogo + 1, design.r_go
+    def cuts(self, design):
+        return three_mod.cut_rule(design)
 
 
 DESIGNS: dict[tuple[str, str], DesignEntry] = {

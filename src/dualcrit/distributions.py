@@ -1,9 +1,9 @@
 """Probability primitives for design calculations.
 
-Standard normal CDF (``erfc``) and quantile (``ndtri``), binomial tail
-probabilities, and the regularized incomplete beta function with its
-inverse. Only the three families the designs need; this is not a general
-distribution library.
+Standard normal CDF (``erfc``) and quantile (``ndtri``), the parts of a
+binomial or normal statistic beyond two cut points, and the regularized
+incomplete beta function with its inverse. Only the three families the
+designs need; this is not a general distribution library.
 
 numpy and scipy are imported by the two normal functions that use them,
 not with this module, so the binary designs run on the standard library
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 
-# Continued-fraction evaluation limits for the incomplete beta function.
+# Continued-fraction evaluation limits for the incomplete beta function;
+# near the mean it needs about 0.4 * sqrt(max(a, b)) terms.
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
-_CF_MAX_ITER = 500
+_CF_MIN_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,50 @@ def binomial_tail(n: int, p: float, r: int) -> float:
     return 1.0 if r == 0 else tail
 
 
+def _part(pmf: list[float]) -> float:
+    # fsum keeps tail(r) - tail(r + 1) == pmf(r) to a couple of ulps even
+    # for n ~ 1e4; a part holding nearly all the mass is capped at 1.
+    return min(1.0, math.fsum(pmf))
+
+
 def binomial_cut_probs(n: int, p: float, lo: int, hi: int) -> tuple[float, float, float]:
     """(P(R >= hi), P(R < lo), P(lo <= R < hi)) for R ~ Binomial(n, p).
 
     The three outcomes of a rule with cut points 0 <= lo <= hi <= n + 1 on
     the count: GO at or above hi, NO-GO below lo, inconclusive between.
     Each part is summed from the pmf, so a small part keeps its relative
-    accuracy instead of flushing to zero as a difference from 1 would, and
-    fsum keeps tail(r) - tail(r + 1) == pmf(r) to a couple of ulps even for
-    n ~ 1e4. A part holding nearly all the mass is capped at 1.
+    accuracy instead of flushing to zero as a difference from 1 would.
     """
     p = _check_binomial_args(n, p)
     if not 0 <= lo <= hi <= n + 1:
         raise ValueError(f"cut points must satisfy 0 <= lo <= hi <= {n + 1}, got {lo}, {hi}")
     pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
-    return tuple(min(1.0, math.fsum(part)) for part in (pmf[hi:], pmf[:lo], pmf[lo:hi]))
+    return _part(pmf[hi:]), _part(pmf[:lo]), _part(pmf[lo:hi])
+
+
+def binomial_tails(n: int, p: float):
+    """The GO and NO-GO parts of ``binomial_cut_probs`` as functions of one
+    cut point r in [0, n + 1]: r -> P(R >= r) and r -> P(R < r), one pmf."""
+    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
+    return (lambda r: _part(pmf[r:])), (lambda r: _part(pmf[:r]))
+
+
+def normal_cut_probs(mean: float, se: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """(P(X >= hi), P(X < lo), P(lo <= X < hi)) for X ~ Normal(mean, se).
+
+    Each tail is one CDF value and keeps its relative accuracy. The middle
+    part is the difference of the two tails on the side of the mean where
+    both are small, or 1 minus both where the cuts straddle the mean and
+    neither exceeds 1/2. Equal cuts give exactly 0.
+    """
+    if not lo <= hi:
+        raise ValueError(f"cut points must satisfy lo <= hi, got {lo}, {hi}")
+    # One CDF call for three tails; the third lies past the cut nearer the mean.
+    near = lo if mean <= lo else hi if hi <= mean else mean
+    tails = std_normal_cdf([(mean - hi) / se, (lo - mean) / se, -abs(near - mean) / se])
+    p_go, p_nogo, p_near = map(float, tails)
+    between = p_near - p_go if mean <= lo else p_near - p_nogo if hi <= mean else 1.0 - p_go - p_nogo
+    return p_go, p_nogo, between
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -156,7 +186,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = _CF_FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    for m in range(1, max(_CF_MIN_ITER, 2 * math.ceil(math.sqrt(max(a, b)))) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d

@@ -1,9 +1,13 @@
-"""Shared decision vocabulary: outcome tags and operating characteristics."""
+"""Shared decision vocabulary: outcome tags, OC and the cut-point rule."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+
+# Called through the module so that a patched attribute reaches every call.
+from . import distributions
 
 _SIMPLEX_TOL = 1e-9
 
@@ -89,3 +93,38 @@ class OperatingCharacteristics:
     @property
     def probs(self) -> tuple[float, float, float]:
         return (self.p_go, self.p_nogo, self.p_inconclusive)
+
+
+@dataclass(frozen=True)
+class CutRule:
+    """Cut points lo <= hi on one statistic: GO at or above hi, NO-GO below
+    lo, inconclusive between. With ``n`` the statistic is a Binomial(n, p)
+    responder count and the cuts are integers in [0, n + 1]; with ``se``
+    instead it is minus the log-HR estimate, Normal(-log HR, se).
+    """
+
+    lo: float
+    hi: float
+    n: int | None = None
+    se: float | None = None
+
+    def __post_init__(self):
+        if (self.n is None) == (self.se is None):
+            raise ValueError("a cut rule needs exactly one of n and se")
+
+    def oc(self, true_effect: float) -> OperatingCharacteristics:
+        """Outcome probabilities at a true response rate or hazard ratio."""
+        if self.n is not None:
+            true_effect = distributions.check_open_probability(true_effect, "true_orr")
+            probs = distributions.binomial_cut_probs(self.n, true_effect, self.lo, self.hi)
+        elif math.isfinite(true_effect) and true_effect > 0.0:
+            probs = distributions.normal_cut_probs(-math.log(true_effect), self.se, self.lo, self.hi)
+        else:
+            raise ValueError(f"true_hr must be positive, got {true_effect}")
+        return OperatingCharacteristics(true_effect, *probs)
+
+    def shifted(self, delta: float) -> CutRule:
+        """The GO cut moved by delta responders, clamped to [0, n + 1], or by
+        delta standard errors; a GO cut moved below lo takes lo along."""
+        hi = self.hi + delta * self.se if self.n is None else min(max(self.hi + delta, 0), self.n + 1)
+        return replace(self, lo=min(self.lo, hi), hi=hi)

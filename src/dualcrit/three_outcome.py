@@ -12,11 +12,11 @@ by four probabilities evaluated at the hypothesized rates p0 < p1:
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .distributions import binomial_cut_probs, binomial_pmf, check_open_probability
-from .outcomes import InfeasibleDesignError, OperatingCharacteristics
+from .distributions import binomial_tails, check_open_probability
+from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics
 
 DEFAULT_N_MAX = 100
 
@@ -55,13 +55,12 @@ class ThreeOutcomeDesign:
 
     def constraint_values(self) -> dict[str, float]:
         """Attained values of the four constrained probabilities."""
-        go_p0, nogo_p0, _ = binomial_cut_probs(self.n, self.p0, self.r_nogo + 1, self.r_go)
-        go_p1, nogo_p1, _ = binomial_cut_probs(self.n, self.p1, self.r_nogo + 1, self.r_go)
+        under_p0, under_p1 = (cut_rule(self).oc(p) for p in (self.p0, self.p1))
         return {
-            "go_under_p0": go_p0,
-            "nogo_under_p1": nogo_p1,
-            "nogo_under_p0": nogo_p0,
-            "go_under_p1": go_p1,
+            "go_under_p0": under_p0.p_go,
+            "nogo_under_p1": under_p1.p_nogo,
+            "nogo_under_p0": under_p0.p_nogo,
+            "go_under_p1": under_p1.p_go,
         }
 
     def is_feasible(self) -> bool:
@@ -74,21 +73,18 @@ class ThreeOutcomeDesign:
         )
 
 
+def cut_rule(design: ThreeOutcomeDesign) -> CutRule:
+    """NO-GO at r <= r_nogo and GO at r >= r_go as cut points on the count."""
+    return CutRule(design.r_nogo + 1, design.r_go, n=design.n)
+
+
 def three_outcome_oc(design: ThreeOutcomeDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact GO / NO-GO / inconclusive probabilities at a true rate."""
-    true_orr = check_open_probability(true_orr, "true_orr")
-    probs = binomial_cut_probs(design.n, true_orr, design.r_nogo + 1, design.r_go)
-    return OperatingCharacteristics(true_orr, *probs)
+    return cut_rule(design).oc(true_orr)
 
 
 def feasible_pairs(
-    n: int,
-    p0: float,
-    p1: float,
-    alpha: float,
-    beta: float,
-    eta: float,
-    pi: float,
+    n: int, p0: float, p1: float, alpha: float, beta: float, eta: float, pi: float,
     min_gap: int = MIN_BOUNDARY_GAP,
 ) -> list[tuple[int, int]]:
     """All (r_nogo, r_go) pairs at size n satisfying the four constraints.
@@ -98,22 +94,26 @@ def feasible_pairs(
     """
     if min_gap < 1:
         raise ValueError(f"min_gap must be at least 1, got {min_gap}")
-    # Upper tails under both rates; tail[r] = P(R >= r).
-    tail0 = _upper_tails(n, p0)
-    tail1 = _upper_tails(n, p1)
-    pairs = []
-    for r_go in range(min_gap, n + 1):
-        if tail0[r_go] > alpha or tail1[r_go] < pi:
-            continue
-        for r_nogo in range(0, r_go - min_gap + 1):
-            if 1.0 - tail1[r_nogo + 1] <= beta and 1.0 - tail0[r_nogo + 1] >= eta:
-                pairs.append((r_nogo, r_go))
-    return pairs
+    # Each constraint is monotone in its cut point, so the admissible cut
+    # points are ranges found by bisection, on the parts constraint_values reads.
+    go0, nogo0 = binomial_tails(n, p0)
+    go1, nogo1 = binomial_tails(n, p1)
 
+    def first(holds):  # smallest cut point in [0, n + 1] where holds is True
+        return bisect_left(range(n + 2), True, key=holds)
 
-def _upper_tails(n: int, p: float) -> list[float]:
-    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
-    return [math.fsum(pmf[r:]) for r in range(n + 2)]
+    go_lo = max(min_gap, first(lambda r: go0(r) <= alpha))
+    go_hi = min(n, first(lambda r: go1(r) < pi) - 1)
+    if go_lo > go_hi:
+        return []
+    # Cut points c = r_nogo + 1 with NO-GO below them.
+    nogo_lo = max(1, first(lambda c: nogo0(c) >= eta))
+    nogo_hi = first(lambda c: nogo1(c) > beta) - 1
+    return [
+        (c - 1, r_go)
+        for r_go in range(go_lo, go_hi + 1)
+        for c in range(nogo_lo, min(nogo_hi, r_go - min_gap + 1) + 1)
+    ]
 
 
 def find_three_outcome_design(

@@ -21,8 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .distributions import std_normal_cdf, std_normal_quantile
-from .outcomes import Decision, OperatingCharacteristics
+from .distributions import std_normal_quantile
+from .outcomes import CutRule, Decision, OperatingCharacteristics
 
 DEFAULT_SIGMA = 2.0
 
@@ -80,10 +80,6 @@ class DualCriterionTTEDesign:
                 UserWarning,
                 stacklevel=2,
             )
-
-    @property
-    def min_events(self) -> int:
-        return min_events_dual(self.alpha, self.null_hr, self.decision_hr, self.sigma)
 
     @property
     def significance_threshold(self) -> float:
@@ -198,26 +194,19 @@ def implied_precision_factor(
     return math.exp(z * sigma / math.sqrt(n_events))
 
 
-def _dual_oc(
-    alpha: float,
-    null_hr: float,
-    decision_hr: float,
-    sigma: float,
-    n_events: float,
-    true_hr: float,
-) -> OperatingCharacteristics:
-    """Operating characteristics of the dual criterion at a real-valued size."""
-    s = sigma / math.sqrt(n_events)
+def dual_cut_rule(
+    alpha: float, null_hr: float, decision_hr: float, sigma: float, n_events: float
+) -> CutRule:
+    """The dual criterion as cut points on minus the log-HR estimate, at the
+    decision value and the significance threshold; inconclusive between."""
     t_sig = significance_threshold(alpha, null_hr, sigma, n_events)
-    t = min(decision_hr, t_sig)
-    u = max(decision_hr, t_sig)
-    log_true = math.log(true_hr)
-    p_go = std_normal_cdf((math.log(t) - log_true) / s)
-    p_nogo = std_normal_cdf((log_true - math.log(u)) / s)
-    p_inconclusive = max(0.0, 1.0 - p_go - p_nogo)
-    return OperatingCharacteristics(
-        true_effect=true_hr, p_go=p_go, p_nogo=p_nogo, p_inconclusive=p_inconclusive
-    )
+    lo, hi = -math.log(max(decision_hr, t_sig)), -math.log(min(decision_hr, t_sig))
+    return CutRule(lo, hi, se=sigma / math.sqrt(n_events))
+
+
+def _dual_oc(alpha, null_hr, decision_hr, sigma, n_events, true_hr) -> OperatingCharacteristics:
+    """Operating characteristics of the dual criterion at a real-valued size."""
+    return dual_cut_rule(alpha, null_hr, decision_hr, sigma, n_events).oc(true_hr)
 
 
 def oc_dual_tte(design: DualCriterionTTEDesign, true_hr: float) -> OperatingCharacteristics:
@@ -227,32 +216,22 @@ def oc_dual_tte(design: DualCriterionTTEDesign, true_hr: float) -> OperatingChar
     both; estimates between the decision value and the significance
     threshold are inconclusive.
     """
-    _check_positive(true_hr, "true_hr")
     return _dual_oc(
-        design.alpha,
-        design.null_hr,
-        design.decision_hr,
-        design.sigma,
-        design.n_events,
-        true_hr,
+        design.alpha, design.null_hr, design.decision_hr, design.sigma, design.n_events, true_hr
     )
+
+
+def standard_cut_rule(design: StandardTTEDesign, sigma: float, n_events: float) -> CutRule:
+    """A standard design as one cut at the significance threshold."""
+    cut = -math.log(significance_threshold(design.alpha, design.null_hr, sigma, n_events))
+    return CutRule(lo=cut, hi=cut, se=sigma / math.sqrt(n_events))
 
 
 def oc_standard_tte(
     design: StandardTTEDesign, sigma: float, n_events: float, true_hr: float
 ) -> OperatingCharacteristics:
     """Operating characteristics of a standard design (GO or NO-GO only)."""
-    _check_positive(true_hr, "true_hr")
-    _check_positive(sigma, "sigma")
-    t_sig = significance_threshold(design.alpha, design.null_hr, sigma, n_events)
-    s = sigma / math.sqrt(n_events)
-    x = (math.log(t_sig) - math.log(true_hr)) / s
-    return OperatingCharacteristics(
-        true_effect=true_hr,
-        p_go=std_normal_cdf(x),
-        p_nogo=std_normal_cdf(-x),
-        p_inconclusive=0.0,
-    )
+    return standard_cut_rule(design, sigma, n_events).oc(true_hr)
 
 
 def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:

@@ -402,16 +402,16 @@ class TestVerify:
         assert result.stderr.startswith("error: seed")
         assert "Traceback" not in result.stderr
 
-    def test_corrupt_flag_needs_binary_endpoint(self, capsys):
-        code, _, err = run(
+    def test_negative_control_on_tte_dual(self, capsys):
+        code, out, _ = run(
             capsys, "verify", "--config", TTE_CONFIGS[0],
             "--reps", "2000", "--corrupt-go-boundary", "1",
         )
-        assert code == 2
+        assert code == 4
+        assert "verification FAILED" in out
 
 
 NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
-NOT_BINARY = "error: --corrupt-go-boundary applies to binary endpoints only"
 DECIDE_NEEDS_DUAL = "error: decide needs a dual-criterion design (tte)"
 PASS, FAIL = (0, ""), (4, "")
 
@@ -439,18 +439,17 @@ MATRIX_COMMANDS = {
 # (exit code, first stderr line) per kind, in the order of MATRIX_COMMANDS.
 # A GO cut point shifted below the NO-GO one takes the NO-GO one along, so
 # the three-outcome negative control at -3 fails verification (exit 4).
+# The TTE negative control shifts the GO cut by DELTA standard errors.
+NO_VERIFY = {kind: (2, f"error: verify is not defined for {kind} designs") for kind in ("standard", "precision")}
 MATRIX = {
-    "tte_dual": [PASS, PASS, PASS, (2, NO_POSTERIOR_CSV), PASS] + [(2, NOT_BINARY)] * 4,
-    "tte_standard": [
-        PASS, PASS, (2, DECIDE_NEEDS_DUAL), (2, DECIDE_NEEDS_DUAL),
-        (2, "error: verify is not defined for standard designs"),
-    ] + [(2, NOT_BINARY)] * 4,
+    "tte_dual": [PASS, PASS, PASS, (2, NO_POSTERIOR_CSV), PASS] + [FAIL] * 4,
+    "tte_standard": [PASS, PASS, (2, DECIDE_NEEDS_DUAL), (2, DECIDE_NEEDS_DUAL)]
+    + [NO_VERIFY["standard"]] * 5,
     "tte_precision": [
         PASS,
         (2, "error: operating characteristics are not defined for precision designs"),
         (2, DECIDE_NEEDS_DUAL), (2, DECIDE_NEEDS_DUAL),
-        (2, "error: verify is not defined for precision designs"),
-    ] + [(2, NOT_BINARY)] * 4,
+    ] + [NO_VERIFY["precision"]] * 5,
     "binary_dual": [PASS] * 5 + [FAIL] * 4,
     "three_outcome": [PASS, PASS, PASS, (2, NO_POSTERIOR_CSV), PASS] + [FAIL] * 4,
 }
@@ -480,6 +479,17 @@ class TestCapabilityMatrix:
         ]
         code, _, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
         assert (code, (err.splitlines() or [""])[0]) == expected
+
+
+def test_decide_on_a_posterior_in_the_millions():
+    # The incomplete beta's continued fraction needs more terms than a
+    # fixed cap allows once the posterior shapes reach the millions.
+    result = run_module(
+        "decide", "--config", BINARY_CONFIGS[0], "--set", "n=4000000", "--observed", "1000000"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.startswith("GO: ")
 
 
 class TestInfeasibleExitCode:

@@ -253,6 +253,12 @@ class TestBetaCdf:
         with pytest.raises(ValueError):
             BetaParams(1.0, -2.0)
 
+    def test_converges_for_large_shapes(self):
+        # Near the mean the continued fraction needs about 0.4 * sqrt(max(a, b))
+        # terms, past a fixed cap of 500 for shapes in the millions.
+        got = beta_cdf(BetaParams(1e6, 3e6), 0.25)
+        assert got == pytest.approx(float(scipy_betainc(1e6, 3e6, 0.25)), rel=1e-7)
+
     @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.0, 5.0, 50.0])
     @pytest.mark.parametrize("b", [0.05, 0.5, 1.0, 2.0, 5.0, 50.0])
     def test_matches_scipy_across_shapes(self, a, b):

@@ -3,14 +3,17 @@ hypothesis.
 
 The exact binary operating characteristics must be the binomial mass of
 the counts that the design's own decision rule sends to each outcome, with
-scipy's pmf as an independent reference. P(GO) must not fall as the true
-response rate rises, nor rise as the true hazard ratio rises. A dumped
-config of every design kind must parse back to the same design.
+scipy's pmf as an independent reference. The TTE P(GO) and P(NO-GO) must
+be the normal mass beyond the estimates at which ``decide_tte`` itself
+switches, with ``math.erfc`` as the reference. P(GO) must not fall as the
+true response rate rises, nor rise as the true hazard ratio rises. A
+dumped config of every design kind must parse back to the same design.
 """
 
 import math
 import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,8 @@ from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
 from dualcrit.config import DESIGNS, dump_config, parse_config_text, resolve_design
 from dualcrit.distributions import BetaParams
 from dualcrit.three_outcome import ThreeOutcomeDesign, three_outcome_oc
-from dualcrit.tte import DualCriterionTTEDesign, min_events_dual, oc_dual_tte
+from dualcrit.outcomes import DecisionTag
+from dualcrit.tte import DualCriterionTTEDesign, decide_tte, min_events_dual, oc_dual_tte
 
 PROPERTY = settings(derandomize=True, deadline=None)
 # Every pmf term stays above 1e-300 for these rates and n <= 80.
@@ -110,6 +114,45 @@ HAZARD_RATIOS = st.floats(0.05, 3.0)
 def test_tte_dual_p_go_nonincreasing_in_hr(design, a, b):
     low, high = sorted((a, b))
     assert oc_dual_tte(design, high).p_go <= oc_dual_tte(design, low).p_go + MONOTONE_TOL
+
+
+def switch_point(is_on, lo, hi):
+    """Largest float in [lo, hi) at which ``is_on`` holds, for a predicate
+    that holds at lo, fails at hi and switches once in between."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if is_on(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.floats(0.005, 0.3), st.floats(0.3, 0.95), st.integers(1, 3000), HAZARD_RATIOS
+)
+def test_tte_dual_oc_is_the_mass_beyond_the_decision_switches(alpha, decision_hr, n_events, true_hr):
+    with warnings.catch_warnings():
+        # Sizes below the minimum are part of the input space.
+        warnings.simplefilter("ignore", UserWarning)
+        design = DualCriterionTTEDesign(alpha=alpha, decision_hr=decision_hr, n_events=n_events)
+
+    def tag(log_estimate):
+        return decide_tte(design, math.exp(log_estimate)).tag
+
+    # Every threshold lies in (exp(-20), 1), so GO holds at -20 and NO-GO at 20.
+    log_go = switch_point(lambda x: tag(x) is DecisionTag.GO, -20.0, 20.0)
+    log_nogo = switch_point(lambda x: tag(x) is not DecisionTag.NOGO, -20.0, 20.0)
+    s = design.sigma / math.sqrt(n_events)
+    oc = oc_dual_tte(design, true_hr)
+    assert oc.p_go == pytest.approx(normal_cdf((log_go - math.log(true_hr)) / s), rel=1e-12, abs=0)
+    assert oc.p_nogo == pytest.approx(normal_cdf((math.log(true_hr) - log_nogo) / s), rel=1e-12, abs=0)
 
 
 def optional(value):

@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualcrit.outcomes import InfeasibleDesignError
 from dualcrit.three_outcome import (
@@ -151,3 +153,110 @@ class TestDesignSearch:
                 break
         design = find_three_outcome_design(n_max=100, **CONSTRAINTS)
         assert expected == (design.n, (design.r_nogo, design.r_go))
+
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+
+def exact_cut_tails(n, p):
+    """Numerators of P(R >= r) and P(R < r) for r in [0, n + 1], exactly,
+    over the common denominator they share, for the float rate p."""
+    num, den = p.as_integer_ratio()
+    terms = [math.comb(n, k) * num**k * (den - num) ** (n - k) for k in range(n + 1)]
+    total = den**n
+    at_least = [0] * (n + 2)
+    for r in range(n, -1, -1):
+        at_least[r] = at_least[r + 1] + terms[r]
+    return at_least, [total - a for a in at_least], total
+
+
+NEAR_TIE = "near tie"
+
+
+def exact_search(p0, p1, alpha, beta, eta, pi, n_max):
+    """(n, r_nogo, r_go) of the smallest feasible design in exact
+    arithmetic, None when there is none, or NEAR_TIE when a constraint lies
+    within 1e-9 relative of a probability attained at a scanned size."""
+    for n in range(1, n_max + 1):
+        go0, nogo0, total0 = exact_cut_tails(n, p0)
+        go1, nogo1, total1 = exact_cut_tails(n, p1)
+
+        def compare(tails, total, bound):
+            # Sign of tail - bound at every cut point, or None near a tie.
+            b_num, b_den = bound.as_integer_ratio()
+            signs = []
+            for tail in tails:
+                diff = tail * b_den - b_num * total
+                if abs(diff) * 10**9 <= b_num * total:
+                    return None
+                signs.append(diff > 0)
+            return signs
+
+        above = [
+            compare(go0, total0, alpha), compare(go1, total1, pi),
+            compare(nogo1, total1, beta), compare(nogo0, total0, eta),
+        ]
+        if None in above:
+            return NEAR_TIE
+        go0_above, go1_above, nogo1_above, nogo0_above = above
+        pairs = [
+            (r_nogo, r_go)
+            for r_go in range(2, n + 1)
+            if not go0_above[r_go] and go1_above[r_go]
+            for r_nogo in range(r_go - 1)
+            if not nogo1_above[r_nogo + 1] and nogo0_above[r_nogo + 1]
+        ]
+        if pairs:
+            r_nogo, r_go = min(pairs, key=lambda pair: (pair[1], -pair[0]))
+            return n, r_nogo, r_go
+    return None
+
+
+@st.composite
+def constraint_sets(draw):
+    p0 = draw(st.floats(0.02, 0.5))
+    return dict(
+        p0=p0, p1=draw(st.floats(p0 + 0.1, min(0.95, p0 + 0.5))),
+        alpha=draw(st.floats(0.01, 0.25)), beta=draw(st.floats(0.02, 0.3)),
+        eta=draw(st.floats(0.4, 0.95)), pi=draw(st.floats(0.4, 0.95)),
+    )
+
+
+class TestSearchProperties:
+    @PROPERTY
+    @given(constraint_sets())
+    def test_search_matches_exact_rational_search(self, constraints):
+        n_max = 40
+        expected = exact_search(n_max=n_max, **constraints)
+        assume(expected != NEAR_TIE)
+        try:
+            design = find_three_outcome_design(n_max=n_max, **constraints)
+        except InfeasibleDesignError:
+            assert expected is None
+        else:
+            assert (design.n, design.r_nogo, design.r_go) == expected
+
+    @PROPERTY
+    @given(st.integers(2, 60), st.floats(0.02, 0.5), st.floats(0.1, 0.45), st.data())
+    def test_listed_pairs_are_the_feasible_ones_at_attained_constraints(self, n, p0, gap, data):
+        # Constraints set to the probabilities one design attains put every
+        # comparison of that design on a tie.
+        r_nogo = data.draw(st.integers(0, n - 1))
+        r_go = data.draw(st.integers(r_nogo + 1, n))
+        rates = dict(p0=p0, p1=p0 + gap)
+        attained = ThreeOutcomeDesign(
+            n=n, r_go=r_go, r_nogo=r_nogo, alpha=0.5, beta=0.5, eta=0.5, pi=0.5, **rates
+        ).constraint_values()
+        constraints = dict(
+            alpha=attained["go_under_p0"], beta=attained["nogo_under_p1"],
+            eta=attained["nogo_under_p0"], pi=attained["go_under_p1"], **rates,
+        )
+        assume(all(0.0 < value < 1.0 for value in constraints.values()))
+        feasible = [
+            (rn, rg)
+            for rg in range(1, n + 1)
+            for rn in range(rg)
+            if ThreeOutcomeDesign(n=n, r_go=rg, r_nogo=rn, **constraints).is_feasible()
+        ]
+        assert (r_nogo, r_go) in feasible
+        assert feasible_pairs(n, min_gap=1, **constraints) == feasible

@@ -191,6 +191,26 @@ class TestDualOperatingCharacteristics:
         assert 1e-26 < expected < 1e-24
         assert oc_dual_tte(design, 0.3).p_nogo == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    # The four paper designs: (alpha, decision value, events).
+    PAPER_DESIGNS = [(0.025, 0.8, 309), (0.025, 0.8, 420), (0.1, 0.7, 52), (0.1, 0.7, 70)]
+
+    @pytest.mark.parametrize("alpha,dv,n", PAPER_DESIGNS)
+    def test_inconclusive_matches_mpmath(self, alpha, dv, n):
+        # Far from the cut points both tails are small, so 1 - p_go - p_nogo
+        # would keep only the rounding of the larger part.
+        mpmath = pytest.importorskip("mpmath")
+        design = DualCriterionTTEDesign(alpha=alpha, decision_hr=dv, n_events=n)
+        with mpmath.workdps(100):
+            s = 2 / mpmath.sqrt(n)
+            t_sig = mpmath.exp(-mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(alpha)) * s)
+            log_t, log_u = sorted((mpmath.log(dv), mpmath.log(t_sig)))
+            for i in range(13):
+                true_hr = round(0.3 + 0.1 * i, 1)
+                x_t, x_u = ((v - mpmath.log(true_hr)) / s for v in (log_t, log_u))
+                want = float(mpmath.ncdf(x_u) - mpmath.ncdf(x_t))
+                got = oc_dual_tte(design, true_hr).p_inconclusive
+                assert got == pytest.approx(want, rel=1e-11, abs=0), true_hr
+
     def test_power_at_decision_value_is_exactly_half(self):
         for n in (52, 70, 103, 400):
             oc = oc_dual_tte(
@@ -279,6 +299,11 @@ class TestStandardOperatingCharacteristics:
         assert oc_standard_tte(design, 2.0, n, 0.3).p_nogo == pytest.approx(
             expected, rel=1e-12, abs=0.0
         )
+
+    def test_inconclusive_is_exactly_zero(self):
+        design = StandardTTEDesign(alpha=0.025, beta=0.1, alt_hr=0.5)
+        for true_hr in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 3.0):
+            assert oc_standard_tte(design, 2.0, 420, true_hr).p_inconclusive == 0.0
 
     def test_half_power_at_threshold(self):
         design = StandardTTEDesign(alpha=0.1, beta=0.2, alt_hr=0.5)
