@@ -22,6 +22,15 @@ from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharact
 DEFAULT_N_MAX = 1000
 
 
+def _check_criteria(null_orr: float, sig_prob: float, decision_orr: float) -> None:
+    check_open_probability(null_orr, "null_orr")
+    check_open_probability(decision_orr, "decision_orr")
+    if not 0.5 <= sig_prob < 1.0:
+        raise ValueError(f"sig_prob must lie in [0.5, 1), got {sig_prob}")
+    if decision_orr <= null_orr:
+        raise ValueError(f"decision_orr must exceed null_orr, got {decision_orr} <= {null_orr}")
+
+
 @dataclass(frozen=True)
 class DualCriterionBinaryDesign:
     prior: BetaParams
@@ -31,15 +40,7 @@ class DualCriterionBinaryDesign:
     n: int
 
     def __post_init__(self):
-        check_open_probability(self.null_orr, "null_orr")
-        check_open_probability(self.decision_orr, "decision_orr")
-        if not 0.5 < self.sig_prob < 1.0:
-            raise ValueError(f"sig_prob must lie in (0.5, 1), got {self.sig_prob}")
-        if self.decision_orr <= self.null_orr:
-            raise ValueError(
-                f"decision_orr must exceed null_orr, got "
-                f"{self.decision_orr} <= {self.null_orr}"
-            )
+        _check_criteria(self.null_orr, self.sig_prob, self.decision_orr)
         if self.n < 1 or self.n != int(self.n):
             raise ValueError(f"n must be a positive integer, got {self.n}")
 
@@ -126,7 +127,7 @@ def min_responders(design: DualCriterionBinaryDesign) -> int | None:
 def decide_binary(design: DualCriterionBinaryDesign, r: int) -> Decision:
     """Classify an observed responder count. Both inequalities are inclusive."""
     r = _check_responders(design, r)
-    return Decision.from_criteria(
+    return Decision(
         significant=_significant(
             design.prior, design.null_orr, design.sig_prob, design.n, r
         ),
@@ -148,11 +149,7 @@ def min_sample_size_grid(
     the smallest n such that the implication holds at n and at every
     larger size up to ``n_max``.
     """
-    check_open_probability(null_orr, "null_orr")
-    check_open_probability(sig_prob, "sig_prob")
-    check_open_probability(decision_orr, "decision_orr")
-    if decision_orr <= null_orr:
-        raise ValueError("decision_orr must exceed null_orr")
+    _check_criteria(null_orr, sig_prob, decision_orr)
     if n_max < 1 or n_max != int(n_max):
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     last_failure = 0

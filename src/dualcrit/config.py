@@ -299,50 +299,35 @@ class _TTEDual(DesignEntry):
         return oracle.simulate_tte_oc(design, true_hr, sim_cfg)
 
 
-@dataclass(frozen=True)
-class SizedStandardDesign:
-    """A standard TTE design with the sigma and event count it is run at."""
-
-    design: tte_mod.StandardTTEDesign
-    sigma: float
-    n_events: int
-
-
 class _TTEStandard(DesignEntry):
     keys = ("alpha", "beta", "alt_hr", "null_hr", "sigma", "n_events", "level")
 
     def build(self, cfg, require_n):
         _require(cfg, "alpha", "beta", "alt_hr")
-        design = tte_mod.StandardTTEDesign(
+        return tte_mod.StandardTTEDesign(
             alpha=cfg["alpha"],
             beta=cfg["beta"],
             alt_hr=cfg["alt_hr"],
             null_hr=cfg.get("null_hr", 1.0),
+            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
+            n_events=cfg.get("n_events"),
         )
-        sigma = cfg.get("sigma", tte_mod.DEFAULT_SIGMA)
-        if "n_events" in cfg:
-            return SizedStandardDesign(design, sigma, cfg["n_events"])
-        return SizedStandardDesign(design, sigma, tte_mod.standard_design_events(design, sigma))
 
-    def size(self, cfg, s):
-        threshold = tte_mod.significance_threshold(
-            s.design.alpha, s.design.null_hr, s.sigma, s.n_events
-        )
+    def size(self, cfg, d):
         return [
-            f"n = {s.n_events}",
-            f"estimate threshold at n = {fmt3(threshold)}",
-            _precision_line("n", s.sigma, s.n_events, cfg.get("level", 0.95)),
+            f"n = {d.n_events}",
+            f"estimate threshold at n = {fmt3(d.significance_threshold)}",
+            _precision_line("n", d.sigma, d.n_events, cfg.get("level", 0.95)),
         ]
 
-    def caption(self, s):
-        d = s.design
+    def caption(self, d):
         return (
             f"standard (tte): alpha={fmt_full(d.alpha)}, beta={fmt_full(d.beta)}, "
-            f"alt_hr={fmt_full(d.alt_hr)}, n_events={s.n_events}"
+            f"alt_hr={fmt_full(d.alt_hr)}, n_events={d.n_events}"
         )
 
-    def cuts(self, s):
-        return tte_mod.standard_cut_rule(s.design, s.sigma, s.n_events)
+    def cuts(self, d):
+        return tte_mod.standard_cut_rule(d)
 
 
 class _TTEPrecision(DesignEntry):

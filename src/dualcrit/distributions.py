@@ -25,6 +25,8 @@ _SQRT2 = math.sqrt(2.0)
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
 _CF_MIN_ITER = 500
+# Beyond this the continued fraction's products of shapes overflow.
+_MAX_SHAPE = 1e150
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,10 @@ class BetaParams:
             raise ValueError(f"beta shape a must be positive, got {self.a}")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"beta shape b must be positive, got {self.b}")
+        if max(self.a, self.b) > _MAX_SHAPE:
+            raise ValueError(
+                f"beta shapes must be at most {_MAX_SHAPE:g}, got ({self.a}, {self.b})"
+            )
 
     @property
     def mean(self) -> float:

@@ -33,35 +33,22 @@ _CASE_NUMBER = {
 }
 
 
-def _tag_for(significant: bool, relevant: bool) -> DecisionTag:
-    if significant and relevant:
-        return DecisionTag.GO
-    if significant:
-        return DecisionTag.INCONCLUSIVE_SIG_NOT_RELEVANT
-    if relevant:
-        return DecisionTag.INCONCLUSIVE_RELEVANT_NOT_SIG
-    return DecisionTag.NOGO
-
-
 @dataclass(frozen=True)
 class Decision:
     """Outcome of applying the dual criterion to an observed result."""
 
-    tag: DecisionTag
     significant: bool
     relevant: bool
 
-    def __post_init__(self):
-        if self.tag is not _tag_for(self.significant, self.relevant):
-            raise ValueError("decision tag inconsistent with its criteria")
-
-    @classmethod
-    def from_criteria(cls, significant: bool, relevant: bool) -> "Decision":
-        return cls(
-            tag=_tag_for(significant, relevant),
-            significant=significant,
-            relevant=relevant,
-        )
+    @property
+    def tag(self) -> DecisionTag:
+        if self.significant and self.relevant:
+            return DecisionTag.GO
+        if self.significant:
+            return DecisionTag.INCONCLUSIVE_SIG_NOT_RELEVANT
+        if self.relevant:
+            return DecisionTag.INCONCLUSIVE_RELEVANT_NOT_SIG
+        return DecisionTag.NOGO
 
     @property
     def case(self) -> int:

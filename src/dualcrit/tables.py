@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 CSV_OC_HEADER = ["true_effect", "p_go", "p_nogo", "p_inconclusive"]
 
 
+# Enough digits for any finite float rounded to 3 decimals (at most 309
+# before the point).
+_FMT3_CONTEXT = Context(prec=320)
+
+
 def fmt3(x: float) -> str:
     quantum = Decimal(1).scaleb(-3)
-    out = Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP)
+    out = Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP, context=_FMT3_CONTEXT)
     if out == 0:
         out = abs(out)
     return str(out)

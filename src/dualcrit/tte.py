@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .distributions import std_normal_quantile
 from .outcomes import CutRule, Decision, OperatingCharacteristics
@@ -44,6 +44,13 @@ def _check_positive(value: float, name: str) -> float:
     return value
 
 
+def _squared(root: float) -> float:
+    """The square of a sizing formula's root, which is the event count."""
+    if not root < 1e150:
+        raise ValueError("the required number of events exceeds 1e300")
+    return root**2
+
+
 @dataclass(frozen=True)
 class DualCriterionTTEDesign:
     """Dual-criterion design for a hazard-ratio endpoint.
@@ -60,18 +67,9 @@ class DualCriterionTTEDesign:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_positive(self.null_hr, "null_hr")
-        _check_positive(self.decision_hr, "decision_hr")
-        _check_positive(self.sigma, "sigma")
-        if self.decision_hr >= self.null_hr:
-            raise ValueError(
-                f"decision_hr must be below null_hr, got "
-                f"{self.decision_hr} >= {self.null_hr}"
-            )
+        n_min = min_events_dual(self.alpha, self.null_hr, self.decision_hr, self.sigma)
         if self.n_events < 1 or self.n_events != int(self.n_events):
             raise ValueError(f"n_events must be a positive integer, got {self.n_events}")
-        n_min = min_events_dual(self.alpha, self.null_hr, self.decision_hr, self.sigma)
         if self.n_events < n_min:
             warnings.warn(
                 f"n_events={self.n_events} is below the minimum {n_min} at which "
@@ -88,12 +86,19 @@ class DualCriterionTTEDesign:
 
 @dataclass(frozen=True)
 class StandardTTEDesign:
-    """Standard design: type-I error plus power at an alternative HR."""
+    """Standard design: type-I error plus power at an alternative HR.
+
+    ``n_events`` left out is filled with the events needed for power
+    1 - beta at ``alt_hr``; ``dataclasses.replace`` keeps a filled count,
+    so pass ``n_events=None`` to re-size.
+    """
 
     alpha: float
     beta: float
     alt_hr: float
     null_hr: float = 1.0
+    sigma: float = DEFAULT_SIGMA
+    n_events: float | None = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
@@ -104,6 +109,19 @@ class StandardTTEDesign:
             raise ValueError(
                 f"alt_hr must be below null_hr, got {self.alt_hr} >= {self.null_hr}"
             )
+        _check_positive(self.sigma, "sigma")
+        if self.n_events is None:
+            z_a = std_normal_quantile(1.0 - self.alpha)
+            z_b = std_normal_quantile(1.0 - self.beta)
+            delta = math.log(self.null_hr) - math.log(self.alt_hr)
+            n = math.ceil(_squared(self.sigma * (z_a + z_b) / delta) - _CEIL_EPS)
+            object.__setattr__(self, "n_events", max(1, n))
+        elif not self.n_events >= 1:
+            raise ValueError(f"n_events must be at least 1, got {self.n_events}")
+
+    @property
+    def significance_threshold(self) -> float:
+        return significance_threshold(self.alpha, self.null_hr, self.sigma, self.n_events)
 
 
 @dataclass(frozen=True)
@@ -137,12 +155,10 @@ def min_events_dual(
     _check_positive(decision_hr, "decision_hr")
     _check_positive(sigma, "sigma")
     if decision_hr >= null_hr:
-        raise ValueError(
-            "decision_hr must be below null_hr; equal values admit no finite size"
-        )
+        raise ValueError(f"decision_hr must be below null_hr, got {decision_hr} >= {null_hr}")
     z = std_normal_quantile(1.0 - alpha)
     delta = math.log(null_hr) - math.log(decision_hr)
-    return math.ceil((sigma * z / delta) ** 2 - _CEIL_EPS)
+    return max(1, math.ceil(_squared(sigma * z / delta) - _CEIL_EPS))
 
 
 def significance_threshold(
@@ -155,16 +171,17 @@ def significance_threshold(
     if not n_events >= 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")
     z = std_normal_quantile(1.0 - alpha)
-    return null_hr * math.exp(-z * sigma / math.sqrt(n_events))
+    threshold = null_hr * math.exp(-z * sigma / math.sqrt(n_events))
+    if threshold == 0.0:
+        raise ValueError(
+            f"the significance threshold underflows at sigma={sigma}, n_events={n_events}"
+        )
+    return threshold
 
 
 def standard_design_events(design: StandardTTEDesign, sigma: float = DEFAULT_SIGMA) -> int:
     """Events needed for power 1 - beta at the alternative HR."""
-    _check_positive(sigma, "sigma")
-    z_a = std_normal_quantile(1.0 - design.alpha)
-    z_b = std_normal_quantile(1.0 - design.beta)
-    delta = math.log(design.null_hr) - math.log(design.alt_hr)
-    return math.ceil((sigma * (z_a + z_b) / delta) ** 2 - _CEIL_EPS)
+    return replace(design, sigma=sigma, n_events=None).n_events
 
 
 def precision_events(design: PrecisionTTEDesign) -> int:
@@ -173,7 +190,7 @@ def precision_events(design: PrecisionTTEDesign) -> int:
     Rounded to the nearest integer (half away from zero), never below 1.
     """
     z = std_normal_quantile(0.5 * (1.0 + design.level))
-    n = (z * design.sigma / math.log(design.factor)) ** 2
+    n = _squared(z * design.sigma / math.log(design.factor))
     return max(1, math.floor(n + 0.5))
 
 
@@ -191,7 +208,12 @@ def implied_precision_factor(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     z = std_normal_quantile(0.5 * (1.0 + level))
-    return math.exp(z * sigma / math.sqrt(n_events))
+    try:
+        return math.exp(z * sigma / math.sqrt(n_events))
+    except OverflowError:
+        raise ValueError(
+            f"the CI half-width factor overflows at sigma={sigma}, n_events={n_events}"
+        ) from None
 
 
 def dual_cut_rule(
@@ -204,11 +226,6 @@ def dual_cut_rule(
     return CutRule(lo, hi, se=sigma / math.sqrt(n_events))
 
 
-def _dual_oc(alpha, null_hr, decision_hr, sigma, n_events, true_hr) -> OperatingCharacteristics:
-    """Operating characteristics of the dual criterion at a real-valued size."""
-    return dual_cut_rule(alpha, null_hr, decision_hr, sigma, n_events).oc(true_hr)
-
-
 def oc_dual_tte(design: DualCriterionTTEDesign, true_hr: float) -> OperatingCharacteristics:
     """GO / NO-GO / inconclusive probabilities at a true hazard ratio.
 
@@ -216,22 +233,23 @@ def oc_dual_tte(design: DualCriterionTTEDesign, true_hr: float) -> OperatingChar
     both; estimates between the decision value and the significance
     threshold are inconclusive.
     """
-    return _dual_oc(
-        design.alpha, design.null_hr, design.decision_hr, design.sigma, design.n_events, true_hr
-    )
+    return dual_cut_rule(
+        design.alpha, design.null_hr, design.decision_hr, design.sigma, design.n_events
+    ).oc(true_hr)
 
 
-def standard_cut_rule(design: StandardTTEDesign, sigma: float, n_events: float) -> CutRule:
+def standard_cut_rule(design: StandardTTEDesign) -> CutRule:
     """A standard design as one cut at the significance threshold."""
-    cut = -math.log(significance_threshold(design.alpha, design.null_hr, sigma, n_events))
-    return CutRule(lo=cut, hi=cut, se=sigma / math.sqrt(n_events))
+    cut = -math.log(design.significance_threshold)
+    return CutRule(lo=cut, hi=cut, se=design.sigma / math.sqrt(design.n_events))
 
 
 def oc_standard_tte(
     design: StandardTTEDesign, sigma: float, n_events: float, true_hr: float
 ) -> OperatingCharacteristics:
-    """Operating characteristics of a standard design (GO or NO-GO only)."""
-    return standard_cut_rule(design, sigma, n_events).oc(true_hr)
+    """Operating characteristics of a standard design (GO or NO-GO only)
+    run at the given sigma and event count."""
+    return standard_cut_rule(replace(design, sigma=sigma, n_events=n_events)).oc(true_hr)
 
 
 def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:
@@ -239,4 +257,4 @@ def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:
     _check_positive(estimated_hr, "estimated_hr")
     significant = estimated_hr <= design.significance_threshold
     relevant = estimated_hr <= design.decision_hr
-    return Decision.from_criteria(significant=significant, relevant=relevant)
+    return Decision(significant=significant, relevant=relevant)

@@ -13,7 +13,7 @@ from pathlib import Path
 import dualcrit as dc
 from dualcrit.cli import main as cli_main
 from dualcrit.config import load_config, resolve_design
-from dualcrit.tte import _dual_oc
+from dualcrit.tte import dual_cut_rule
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -337,7 +337,7 @@ def test_criterion_5_property_suite():
                 failures.append(f"type-I error {p_go} above alpha={alpha} at n={n}")
         z = dc.std_normal_quantile(1.0 - alpha)
         exact_n = (2.0 * z / math.log(dv)) ** 2
-        at_min = _dual_oc(alpha, 1.0, dv, 2.0, exact_n, 1.0)
+        at_min = dual_cut_rule(alpha, 1.0, dv, 2.0, exact_n).oc(1.0)
         if abs(at_min.p_go - alpha) > 1e-9:
             failures.append(f"type-I error at the exact minimum size: {at_min.p_go} != {alpha}")
         if at_min.p_inconclusive > 1e-9:

@@ -175,6 +175,30 @@ class TestGridSearch:
         with pytest.raises(InfeasibleDesignError, match="no conclusive sample size"):
             min_sample_size_grid(PRIOR, 0.075, 0.999999, 0.076, n_max=25)
 
+    def test_rejects_sig_prob_below_one_half(self):
+        with pytest.raises(ValueError, match=r"sig_prob must lie in \[0\.5, 1\), got 0\.3"):
+            min_sample_size_grid(PRIOR, 0.075, 0.3, 0.175, n_max=50)
+
+    @pytest.mark.parametrize(
+        "null_orr,sig_prob,decision_orr",
+        [(0.075, 0.3, 0.175), (0.075, 1.0, 0.175), (0.075, 0.95, 0.05), (0.0, 0.95, 0.175),
+         (0.075, 0.95, 1.0), (0.075, float("nan"), 0.175)],
+    )
+    def test_search_rejects_what_the_design_rejects(self, null_orr, sig_prob, decision_orr):
+        with pytest.raises(ValueError) as design_error:
+            DualCriterionBinaryDesign(
+                prior=PRIOR, null_orr=null_orr, sig_prob=sig_prob, decision_orr=decision_orr, n=25
+            )
+        with pytest.raises(ValueError) as search_error:
+            min_sample_size_grid(PRIOR, null_orr, sig_prob, decision_orr, n_max=50)
+        assert str(search_error.value) == str(design_error.value)
+
+    def test_design_at_sig_prob_one_half_builds(self):
+        design = DualCriterionBinaryDesign(
+            prior=PRIOR, null_orr=0.075, sig_prob=0.5, decision_orr=0.175, n=1
+        )
+        assert design.sig_prob == 0.5
+
 
 # Published operating characteristics: (true_orr, p_go, p_nogo, p_inc).
 TABLE_N25 = [

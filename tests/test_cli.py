@@ -2,10 +2,13 @@
 config round-trips, CSV output, and exit codes."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import pytest
 
@@ -82,6 +85,61 @@ class TestSize:
         assert "NO-GO at r <= 3" in out
         assert "GO at r >= 5" in out
         assert "feasible (r_nogo, r_go) pairs at n = (3, 5)" in out
+
+
+    def test_binary_search_rejects_sig_prob_below_one_half(self, capsys, tmp_path):
+        # Without n the size comes from the grid search alone, which must
+        # apply the design's own bound on sig_prob.
+        text = Path(BINARY_CONFIGS[0]).read_text()
+        cfg = tmp_path / "no_n.cfg"
+        cfg.write_text("".join(line for line in text.splitlines(True) if not line.startswith("n =")))
+        code, out, err = run(capsys, "size", "--config", str(cfg), "--set", "sig_prob=0.3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: sig_prob must lie in [0.5, 1), got 0.3"]
+
+
+class TestStandardDesignSigma:
+    """The standard design's event count, threshold and OC at sigma != 2,
+    against the normal approximation written out with ``NormalDist``."""
+
+    @pytest.mark.parametrize(
+        "sigma,n_events", [(3.0, None), (2.5, 77)], ids=["sized", "given_size"]
+    )
+    def test_size_and_oc_csv(self, capsys, tmp_path, sigma, n_events):
+        sets = ["--set", f"sigma={sigma}"]
+        if n_events is not None:
+            sets = ["--set", f"n_events={n_events}", *sets]
+        z = NormalDist().inv_cdf
+        alpha, beta, alt_hr = 0.1, 0.1, 0.5  # randomized_tte_design3.cfg
+        if n_events is None:
+            root = sigma * (z(1 - alpha) + z(1 - beta)) / -math.log(alt_hr)
+            n_events = math.ceil(root**2 - 1e-9)
+        s = sigma / math.sqrt(n_events)
+        log_threshold = -z(1 - alpha) * s
+
+        code, out, _ = run(capsys, "size", "--config", TTE_CONFIGS[2], *sets)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"n = {n_events}"
+        assert float(lines[1].rpartition(" = ")[2]) == pytest.approx(
+            math.exp(log_threshold), abs=5e-4
+        )
+        assert float(lines[2].rpartition(" = ")[2]) == pytest.approx(
+            math.exp(z(0.975) * s), abs=5e-4
+        )
+
+        csv_path = tmp_path / "oc.csv"
+        code, out, _ = run(capsys, "oc", "--config", TTE_CONFIGS[2], *sets, "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["true_effect"]) for row in rows] == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        for row in rows:
+            x = (log_threshold - math.log(float(row["true_effect"]))) / s
+            assert float(row["p_go"]) == pytest.approx(NormalDist().cdf(x), rel=1e-12, abs=0)
+            assert float(row["p_nogo"]) == pytest.approx(NormalDist().cdf(-x), rel=1e-12, abs=0)
+            assert float(row["p_inconclusive"]) == 0.0
 
 
 class TestOc:
@@ -479,6 +537,59 @@ class TestCapabilityMatrix:
         ]
         code, _, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
         assert (code, (err.splitlines() or [""])[0]) == expected
+
+
+class TestExtremeMagnitudes:
+    """Valid but extreme values give an answer or one clear error line, not
+    a traceback, a hang or a size of 0 events."""
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["size", "--config", TTE_CONFIGS[0], "--set", "sigma=1e300"],
+             "the required number of events exceeds 1e300"),
+            (["size", "--config", TTE_CONFIGS[2], "--set", "sigma=1e300"],
+             "the required number of events exceeds 1e300"),
+            (["size", "--config", TTE_CONFIGS[0], "--set", "sigma=1e12"],
+             "the significance threshold underflows at sigma=1000000000000.0, n_events=70"),
+            (["oc", "--config", TTE_CONFIGS[2], "--set", "n_events=77", "--set", "sigma=1e6"],
+             "the significance threshold underflows at sigma=1000000.0, n_events=77"),
+            (["oc", "--config", BINARY_CONFIGS[0], "--set", "prior_a=1e300"],
+             "beta shapes must be at most 1e+150, got (1e+300, 1.0)"),
+        ],
+        ids=["dual-sigma", "standard-sigma", "dual-threshold", "standard-threshold", "prior-shape"],
+    )
+    def test_one_error_line(self, capsys, argv, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 70 events is below the minimum
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_precision_size_overflow(self, capsys, tmp_path):
+        cfg = tmp_path / "prec.cfg"
+        cfg.write_text("endpoint = tte\ndesign_kind = precision\nfactor = 1.2\nsigma = 1e300\n")
+        code, out, err = run(capsys, "size", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: the required number of events exceeds 1e300\n"
+
+    def test_size_is_at_least_one_event(self, capsys, tmp_path):
+        # At alpha just below 0.5 the significance threshold is the null
+        # value for any size, so a single event makes relevance imply it.
+        cfg = tmp_path / "dual.cfg"
+        cfg.write_text("endpoint = tte\ndesign_kind = dual\nalpha = 0.4999999999\ndecision_hr = 0.7\n")
+        code, out, _ = run(capsys, "size", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0] == "n_min = 1"
+
+    def test_huge_values_print_in_full(self, capsys):
+        code, out, _ = run(
+            capsys, "oc", "--config", TTE_CONFIGS[0], "--grid", "1e300,1e-300", "--csv", os.devnull
+        )
+        assert code == 0
+        assert str(10**300) + ".000" in out
+        code, out, _ = run(capsys, "decide", "--config", TTE_CONFIGS[0], "--observed", "1e30")
+        assert code == 0
+        assert out.startswith("NO-GO: p_value=1.000, estimate=1" + "0" * 30 + ".000")
 
 
 def test_decide_on_a_posterior_in_the_millions():

@@ -8,8 +8,12 @@ be the normal mass beyond the estimates at which ``decide_tte`` itself
 switches, with ``math.erfc`` as the reference. P(GO) must not fall as the
 true response rate rises, nor rise as the true hazard ratio rises. A
 dumped config of every design kind must parse back to the same design.
+Any config and overrides the CLI is given end in a documented exit code,
+with exactly one ``error:`` line and no traceback when the run fails.
 """
 
+import contextlib
+import io
 import math
 import string
 import tempfile
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
+from dualcrit.cli import main
 from dualcrit.config import DESIGNS, dump_config, parse_config_text, resolve_design
 from dualcrit.distributions import BetaParams
 from dualcrit.three_outcome import ThreeOutcomeDesign, three_outcome_oc
@@ -260,3 +265,141 @@ def test_dumped_config_rebuilds_an_equal_design(kind):
         assert resolve_design(parsed, require_n=False) == resolve_design(cfg, require_n=False)
 
     check()
+
+
+# CLI fuzz: config files and ``--set`` overrides over every design kind.
+# A drawn config starts from in-range values and then takes up to two
+# faults: a key missing, a key the kind does not read, a bad endpoint or
+# design kind, or a value out of range, non-numeric, nan, inf or extreme.
+# Sizes stay small enough for the sizing scans: n <= 200, n_events <= 2000,
+# reps 1000-5000.
+FUZZ_FLOATS = {
+    "alpha": (0.001, 0.45), "beta": (0.01, 0.45), "null_hr": (0.9, 1.5),
+    "decision_hr": (0.1, 0.95), "alt_hr": (0.1, 0.95), "sigma": (0.5, 5.0),
+    "factor": (1.01, 3.0), "level": (0.5, 0.999), "prior_a": (0.01, 5.0),
+    "prior_b": (0.01, 5.0), "prior_mean": (0.01, 0.99), "null_orr": (0.02, 0.4),
+    "sig_prob": (0.5, 0.999), "decision_orr": (0.05, 0.8), "p0": (0.02, 0.4),
+    "p1": (0.2, 0.9), "eta": (0.5, 0.99), "pi": (0.5, 0.99),
+}
+FUZZ_INTS = {
+    "n_events": (1, 2000), "n": (1, 200), "r_go": (1, 200), "r_nogo": (0, 199),
+    "n_max": (1, 200), "seed": (0, 2**64 - 1), "reps": (1000, 5000),
+}
+NOT_NUMBERS = ["nan", "inf", "-inf", "abc", "", "1,2"]
+BAD_VALUES = {
+    "float": NOT_NUMBERS + ["0", "-1", "1", "1e300", "1e-300", "-1e-300"],
+    "int": NOT_NUMBERS + ["0", "-3", "2.5", "1e2"],
+    "grid": NOT_NUMBERS + ["0", "-1", "1", "1e300", "1e-300", "0.5, nan"],
+    "seed": ["-1", str(2**64), "2.5", "nan"],
+    "reps": ["0", "-3", "999", "2.5", "nan"],
+}
+EXTREMES = ["1e300", "1e-300", "1e12", "1e-12", "0.4999999999", "0.9999999999"]
+ALL_KEYS = sorted({key for entry in DESIGNS.values() for key in entry.keys})
+
+
+def valid_value(key, endpoint="tte"):
+    if key in FUZZ_FLOATS:
+        return st.floats(*FUZZ_FLOATS[key]).map(repr)
+    if key in FUZZ_INTS:
+        return st.integers(*FUZZ_INTS[key]).map(str)
+    if key == "grid":
+        effects = st.floats(0.01, 3.0 if endpoint == "tte" else 0.99)
+        return st.lists(effects, min_size=1, max_size=6).map(
+            lambda points: ", ".join(map(repr, points))
+        )
+    return LABELS
+
+
+def bad_value(key):
+    if key in ("endpoint", "design_kind"):
+        return st.sampled_from(("", "x", "tte", "binary", "dual", "standard"))
+    if key in BAD_VALUES:
+        return st.sampled_from(BAD_VALUES[key])
+    return st.sampled_from(BAD_VALUES["int" if key in FUZZ_INTS else "float"])
+
+
+@st.composite
+def fuzz_faults(draw, cfg):
+    """One fault applied to a config: a key missing, set out of range, to a
+    non-number or to an extreme magnitude, or a key the design kind does
+    not read."""
+    fault = draw(st.sampled_from(("extreme", "bad", "missing", "unread")))
+    real_keys = sorted(key for key in cfg if key in FUZZ_FLOATS)
+    if fault == "unread":
+        key = draw(st.sampled_from(ALL_KEYS))
+        cfg[key] = draw(valid_value(key))
+    elif fault == "extreme" and real_keys:
+        cfg[draw(st.sampled_from(real_keys))] = draw(st.sampled_from(EXTREMES))
+    elif cfg:
+        key = draw(st.sampled_from(sorted(cfg)))
+        if fault == "missing":
+            del cfg[key]
+        else:
+            cfg[key] = draw(bad_value(key))
+
+
+@st.composite
+def fuzz_configs(draw):
+    endpoint, kind = draw(st.sampled_from(sorted(DESIGNS)))
+    cfg = {"endpoint": endpoint, "design_kind": kind}
+    keys = ["label", "grid", "seed", "reps", *DESIGNS[endpoint, kind].keys]
+    if kind == "three_outcome":
+        keys = [key for key in keys if key not in ("n", "r_go", "r_nogo")]
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 200))
+            r_nogo = draw(st.integers(0, n - 1))
+            cfg.update(n=str(n), r_nogo=str(r_nogo), r_go=str(draw(st.integers(r_nogo + 1, n))))
+    if "prior_mean" in keys:
+        keys.remove(draw(st.sampled_from(("prior_mean", "prior_a"))))
+    for key in keys:
+        cfg[key] = draw(valid_value(key, endpoint))
+    for _ in range(draw(st.integers(0, 2))):
+        draw(fuzz_faults(cfg))
+    return cfg
+
+
+def override_items(key):
+    return st.one_of(valid_value(key), valid_value(key), bad_value(key)).map(
+        lambda value: f"{key}={value}"
+    )
+
+
+OVERRIDE_ITEMS = st.sampled_from(ALL_KEYS + ["grid", "seed", "reps"]).flatmap(override_items)
+FUZZ_OVERRIDES = st.lists(
+    st.one_of(
+        OVERRIDE_ITEMS, OVERRIDE_ITEMS, OVERRIDE_ITEMS,
+        st.sampled_from(("alpha", "bogus=1", "endpoint=binary")),
+    ),
+    max_size=2,
+)
+COMMANDS = st.sampled_from(["size", "oc", "oc --csv", "decide", "decide --csv", "compare", "verify"])
+OBSERVED = st.sampled_from(["3", "0.7", "0.95", "1.3", "0", "5", "25", "-1", "2.5", "abc", "nan", "inf", "1e300"])
+
+
+@settings(PROPERTY, max_examples=500)
+@given(fuzz_configs(), FUZZ_OVERRIDES, COMMANDS, OBSERVED, st.integers(-2, 2))
+def test_cli_exits_with_a_documented_code_and_one_error_line(cfg, overrides, command, observed, delta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()), encoding="utf-8")
+        name, *flags = command.split()
+        argv = [name, f"--config={path}", *(f"--set={item}" for item in overrides)]
+        if name == "compare":
+            argv.append(f"--config={path}")
+        if name == "decide":
+            argv.append(f"--observed={observed}")
+        if name == "verify":
+            argv.append(f"--corrupt-go-boundary={delta}")
+        if flags:
+            argv.append(f"--csv={Path(tmp) / 'out.csv'}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # sizes below the minimum
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    else:
+        assert err.getvalue() == ""

@@ -17,14 +17,15 @@ from dualcrit.tte import (
     DualCriterionTTEDesign,
     PrecisionTTEDesign,
     StandardTTEDesign,
-    _dual_oc,
     decide_tte,
+    dual_cut_rule,
     implied_precision_factor,
     min_events_dual,
     oc_dual_tte,
     oc_standard_tte,
     precision_events,
     significance_threshold,
+    standard_cut_rule,
     standard_design_events,
 )
 
@@ -72,6 +73,7 @@ class TestSizing:
     def test_standard_design_events(self, alpha, beta, alt_hr, expected):
         design = StandardTTEDesign(alpha=alpha, beta=beta, alt_hr=alt_hr)
         assert standard_design_events(design, 2.0) == expected
+        assert design.n_events == expected
 
     def test_standard_rejects_inverted_alternative(self):
         with pytest.raises(ValueError):
@@ -229,7 +231,7 @@ class TestDualOperatingCharacteristics:
         # the GO probability under the null equals alpha exactly
         z = float(scipy_norm.ppf(1 - alpha))
         n_exact = (2.0 * z / (math.log(1.0) - math.log(dv))) ** 2
-        oc = _dual_oc(alpha, 1.0, dv, 2.0, n_exact, 1.0)
+        oc = dual_cut_rule(alpha, 1.0, dv, 2.0, n_exact).oc(1.0)
         assert oc.p_go == pytest.approx(alpha, abs=1e-9)
         assert oc.p_inconclusive == pytest.approx(0.0, abs=1e-9)
 
@@ -274,6 +276,34 @@ def _no_warning():
     import contextlib
 
     return contextlib.nullcontext()
+
+
+class TestStandardDesignSize:
+    def test_filled_size_follows_sigma(self):
+        assert StandardTTEDesign(0.1, 0.1, 0.5, sigma=3.0).n_events == standard_design_events(
+            StandardTTEDesign(0.1, 0.1, 0.5), 3.0
+        )
+
+    def test_given_size_is_kept(self):
+        design = StandardTTEDesign(0.1, 0.1, 0.5, sigma=2.5, n_events=77)
+        assert design.n_events == 77
+        assert design.significance_threshold == significance_threshold(0.1, 1.0, 2.5, 77)
+
+    @pytest.mark.parametrize("n_events", [0, -4, 0.5, float("nan")])
+    def test_rejects_fewer_than_one_event(self, n_events):
+        with pytest.raises(ValueError, match="n_events must be at least 1, got"):
+            StandardTTEDesign(0.1, 0.1, 0.5, n_events=n_events)
+
+    def test_rejects_non_positive_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            StandardTTEDesign(0.1, 0.1, 0.5, sigma=0.0)
+
+    def test_oc_runs_the_design_at_the_given_sigma_and_size(self):
+        sized = StandardTTEDesign(0.1, 0.1, 0.5, sigma=2.5, n_events=77)
+        for true_hr in (0.5, 0.7, 1.0):
+            assert oc_standard_tte(
+                StandardTTEDesign(0.1, 0.1, 0.5), 2.5, 77, true_hr
+            ) == standard_cut_rule(sized).oc(true_hr)
 
 
 class TestStandardOperatingCharacteristics:
