@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import BetaParams, beta_cdf, beta_quantile, check_open_probability
+from .distributions import BetaParams, beta_cdf, beta_quantile, check_count, check_open_probability
 from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics
 
 DEFAULT_N_MAX = 1000
@@ -41,8 +41,7 @@ class DualCriterionBinaryDesign:
 
     def __post_init__(self):
         _check_criteria(self.null_orr, self.sig_prob, self.decision_orr)
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        check_count(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,7 @@ def min_sample_size_grid(
     larger size up to ``n_max``.
     """
     _check_criteria(null_orr, sig_prob, decision_orr)
-    if n_max < 1 or n_max != int(n_max):
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_count(n_max, "n_max")
     last_failure = 0
     r_start = 0
     for n in range(1, n_max + 1):

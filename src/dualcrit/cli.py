@@ -35,6 +35,18 @@ EXIT_VERIFY_FAILED = 4
 MIN_REPORTED_REPLICATES = 1000
 
 
+class _StoreOnce(argparse.Action):
+    """Store an option's value; giving the option twice is an error, not a
+    silent override by the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given_once", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "may be given only once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualcrit",
@@ -53,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="design config file; repeat for each design",
             )
         else:
-            sp.add_argument("--config", required=True, metavar="PATH")
+            sp.add_argument("--config", action=_StoreOnce, required=True, metavar="PATH")
         sp.add_argument(
             "--set",
             action="append",
@@ -61,12 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        sp.add_argument("--grid", metavar="V1,V2,...", help="true-effect grid override")
-        sp.add_argument("--seed", type=int, metavar="N")
-        sp.add_argument("--reps", type=int, metavar="N")
+        sp.add_argument(
+            "--grid", action=_StoreOnce, metavar="V1,V2,...", help="true-effect grid override"
+        )
+        sp.add_argument("--seed", action=_StoreOnce, type=int, metavar="N")
+        sp.add_argument("--reps", action=_StoreOnce, type=int, metavar="N")
         if not multi_config:
             sp.add_argument(
                 "--dump-config",
+                action=_StoreOnce,
                 metavar="PATH",
                 help="write the effective config (after overrides) and continue",
             )
@@ -77,19 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oc", help="operating characteristics over a true-effect grid")
     add_common(sp)
-    sp.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
+    sp.add_argument("--csv", action=_StoreOnce, metavar="PATH", help="also write the table as CSV")
     sp.set_defaults(handler=cmd_oc)
 
     sp = sub.add_parser("decide", help="classify an observed trial result")
     add_common(sp)
     sp.add_argument(
         "--observed",
+        action=_StoreOnce,
         required=True,
         metavar="VALUE",
         help="estimated hazard ratio (tte) or responder count (binary)",
     )
     sp.add_argument(
         "--csv",
+        action=_StoreOnce,
         metavar="PATH",
         help="write the posterior density and CDF over an ORR grid "
         "(binary dual-criterion designs only)",
@@ -98,13 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="stacked OC tables for several designs")
     add_common(sp, multi_config=True)
-    sp.add_argument("--csv", metavar="PATH", help="also write all rows as CSV")
+    sp.add_argument("--csv", action=_StoreOnce, metavar="PATH", help="also write all rows as CSV")
     sp.set_defaults(handler=cmd_compare)
 
     sp = sub.add_parser("verify", help="analytic vs simulated OC, 3-SE gate per cell")
     add_common(sp)
     sp.add_argument(
         "--corrupt-go-boundary",
+        action=_StoreOnce,
         type=int,
         default=0,
         metavar="DELTA",

@@ -11,6 +11,7 @@ builds its design from a config and provides what the commands do with it.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from . import oracle
 from . import three_outcome as three_mod
 from . import tte as tte_mod
 from .distributions import BetaParams, beta_cdf, beta_pdf, std_normal_cdf
-from .outcomes import Decision, InfeasibleDesignError
+from .outcomes import Decision
 from .tables import fmt3, fmt_full, write_csv
 
 DEFAULT_SEED = 42
@@ -167,6 +168,23 @@ def _require(cfg: dict, *keys: str) -> None:
         )
 
 
+def _require_fields(make, cfg: dict, *given: str) -> None:
+    """Reject a config that lacks a parameter of ``make`` without a default;
+    ``given`` names the parameters that do not come from the config."""
+    params = inspect.signature(make).parameters.values()
+    _require(cfg, *(p.name for p in params if p.default is p.empty and p.name not in given))
+
+
+def _build(make, cfg: dict, **given):
+    """Call ``make``, a design class or a sizing search, with the config
+    values of its parameters (config keys are their names) and ``given``.
+    A parameter without a default must be in the config; the others keep
+    their defaults when it leaves them out."""
+    _require_fields(make, cfg, *given)
+    params = inspect.signature(make).parameters
+    return make(**{key: cfg[key] for key in params if key in cfg and key not in given}, **given)
+
+
 def prior_of(cfg: dict) -> BetaParams:
     b = cfg.get("prior_b", 1.0)
     if "prior_a" in cfg and "prior_mean" in cfg:
@@ -235,24 +253,17 @@ class _TTEDual(DesignEntry):
     keys = ("alpha", "decision_hr", "n_events", "null_hr", "sigma", "level")
 
     def build(self, cfg, require_n):
-        _require(cfg, "alpha", "decision_hr")
+        _require_fields(tte_mod.DualCriterionTTEDesign, cfg, "n_events")
         if "n_events" not in cfg and not require_n:
             return None
-        _require(cfg, "n_events")
-        return tte_mod.DualCriterionTTEDesign(
-            alpha=cfg["alpha"],
-            decision_hr=cfg["decision_hr"],
-            n_events=cfg["n_events"],
-            null_hr=cfg.get("null_hr", 1.0),
-            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
-        )
+        return _build(tte_mod.DualCriterionTTEDesign, cfg)
 
     def size(self, cfg, design):
         alpha = cfg["alpha"]
         null_hr = cfg.get("null_hr", 1.0)
         decision_hr = cfg["decision_hr"]
         sigma = cfg.get("sigma", tte_mod.DEFAULT_SIGMA)
-        level = cfg.get("level", 0.95)
+        level = cfg.get("level", tte_mod.DEFAULT_LEVEL)
         n_min = tte_mod.min_events_dual(alpha, null_hr, decision_hr, sigma)
         # The estimate threshold for a GO is the tighter of the decision
         # value and the significance threshold.
@@ -303,21 +314,13 @@ class _TTEStandard(DesignEntry):
     keys = ("alpha", "beta", "alt_hr", "null_hr", "sigma", "n_events", "level")
 
     def build(self, cfg, require_n):
-        _require(cfg, "alpha", "beta", "alt_hr")
-        return tte_mod.StandardTTEDesign(
-            alpha=cfg["alpha"],
-            beta=cfg["beta"],
-            alt_hr=cfg["alt_hr"],
-            null_hr=cfg.get("null_hr", 1.0),
-            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
-            n_events=cfg.get("n_events"),
-        )
+        return _build(tte_mod.StandardTTEDesign, cfg)
 
     def size(self, cfg, d):
         return [
             f"n = {d.n_events}",
             f"estimate threshold at n = {fmt3(d.significance_threshold)}",
-            _precision_line("n", d.sigma, d.n_events, cfg.get("level", 0.95)),
+            _precision_line("n", d.sigma, d.n_events, cfg.get("level", tte_mod.DEFAULT_LEVEL)),
         ]
 
     def caption(self, d):
@@ -334,12 +337,7 @@ class _TTEPrecision(DesignEntry):
     keys = ("factor", "level", "sigma")
 
     def build(self, cfg, require_n):
-        _require(cfg, "factor")
-        return tte_mod.PrecisionTTEDesign(
-            factor=cfg["factor"],
-            level=cfg.get("level", 0.95),
-            sigma=cfg.get("sigma", tte_mod.DEFAULT_SIGMA),
-        )
+        return _build(tte_mod.PrecisionTTEDesign, cfg)
 
     def size(self, cfg, design):
         return [f"n = {tte_mod.precision_events(design)}"]
@@ -357,27 +355,14 @@ class _BinaryDual(_Binary):
     posterior_csv = True
 
     def build(self, cfg, require_n):
-        _require(cfg, "null_orr", "sig_prob", "decision_orr")
+        _require_fields(binary_mod.DualCriterionBinaryDesign, cfg, "prior", "n")
         prior = prior_of(cfg)
         if "n" not in cfg and not require_n:
             return None
-        _require(cfg, "n")
-        return binary_mod.DualCriterionBinaryDesign(
-            prior=prior,
-            null_orr=cfg["null_orr"],
-            sig_prob=cfg["sig_prob"],
-            decision_orr=cfg["decision_orr"],
-            n=cfg["n"],
-        )
+        return _build(binary_mod.DualCriterionBinaryDesign, cfg, prior=prior)
 
     def size(self, cfg, design):
-        n_min = binary_mod.min_sample_size_grid(
-            prior_of(cfg),
-            cfg["null_orr"],
-            cfg["sig_prob"],
-            cfg["decision_orr"],
-            n_max=cfg.get("n_max", binary_mod.DEFAULT_N_MAX),
-        )
+        n_min = _build(binary_mod.min_sample_size_grid, cfg, prior=prior_of(cfg))
         lines = [f"n_min = {n_min}"]
         if design is not None:
             r_go = binary_mod.min_responders(design)
@@ -417,21 +402,14 @@ class _ThreeOutcome(_Binary):
     keys = ("p0", "p1", "alpha", "beta", "eta", "pi", "n", "r_go", "r_nogo", "n_max")
 
     def build(self, cfg, require_n):
-        constraint_keys = ("p0", "p1", "alpha", "beta", "eta", "pi")
-        _require(cfg, *constraint_keys)
-        constraints = {key: cfg[key] for key in constraint_keys}
         boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
         if len(boundary_keys) == 3:
-            return three_mod.ThreeOutcomeDesign(
-                n=cfg["n"], r_go=cfg["r_go"], r_nogo=cfg["r_nogo"], **constraints
-            )
+            return _build(three_mod.ThreeOutcomeDesign, cfg)
         if boundary_keys:
             raise ConfigError(
                 "three_outcome designs need either all of n, r_go, r_nogo or none"
             )
-        return three_mod.find_three_outcome_design(
-            **constraints, n_max=cfg.get("n_max", three_mod.DEFAULT_N_MAX)
-        )
+        return _build(three_mod.find_three_outcome_design, cfg)
 
     def size(self, cfg, d):
         lines = [f"n = {d.n}", f"NO-GO at r <= {d.r_nogo}", f"GO at r >= {d.r_go}"]
@@ -512,17 +490,11 @@ def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
     unread = [key for key in cfg if key not in COMMON_KEYS and key not in entry.keys]
     if unread:
         raise ConfigError(f"{endpoint} {kind} designs do not read key(s): {', '.join(unread)}")
-    try:
-        design = entry.build(cfg, require_n)
-    except (ConfigError, InfeasibleDesignError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return ResolvedDesign(
         endpoint=endpoint,
         kind=kind,
         entry=entry,
-        design=design,
+        design=entry.build(cfg, require_n),
         label=cfg.get("label"),
         grid=cfg.get("grid"),
         seed=cfg.get("seed", DEFAULT_SEED),

@@ -27,6 +27,8 @@ _CF_FPMIN = 1e-300
 _CF_MIN_ITER = 500
 # Beyond this the continued fraction's products of shapes overflow.
 _MAX_SHAPE = 1e150
+# Integers above this do not all convert to float exactly.
+_MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,16 @@ def check_open_probability(value: float, name: str = "probability") -> float:
     return value
 
 
+def check_count(value, name: str) -> int:
+    """Validate a positive integer count, at most 2**53 so that it converts
+    to float exactly, and return it as an int."""
+    if not 1 <= value < math.inf or value != int(value):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most 2**53, got {value}")
+    return int(value)
+
+
 def std_normal_cdf(x):
     """Standard normal CDF.
 
@@ -104,8 +116,7 @@ def std_normal_quantile(p):
 
 
 def _check_binomial_args(n: int, p: float) -> float:
-    if n < 1 or n != int(n):
-        raise ValueError(f"number of trials must be a positive integer, got {n}")
+    check_count(n, "number of trials")
     return check_probability(p, "success probability")
 
 

@@ -153,22 +153,20 @@ def simulate_binary_oc(
     return _summarize(true_orr, codes_by_r[draws], n)
 
 
-def monte_carlo_limit(p: float, n_replicates: int, n_se: float = 3.0) -> float:
-    """Largest accepted |analytic - simulated| for one category: n_se
+def monte_carlo_limit(p: float, n_replicates: int) -> float:
+    """Largest accepted |analytic - simulated| for one category: 3
     standard errors of a proportion over n_replicates, taken at the
     analytic probability p, so an exact zero cell must be reproduced exactly.
     """
-    return n_se * math.sqrt(p * (1.0 - p) / n_replicates)
+    return 3.0 * math.sqrt(p * (1.0 - p) / n_replicates)
 
 
-def within_monte_carlo_error(
-    analytic: OperatingCharacteristics, simulated: SimulatedOC, n_se: float = 3.0
-) -> bool:
+def within_monte_carlo_error(analytic: OperatingCharacteristics, simulated: SimulatedOC) -> bool:
     """True when every simulated category is within ``monte_carlo_limit``
     of the analytic probability.
     """
     n = simulated.n_replicates
     return all(
-        abs(p - p_hat) <= monte_carlo_limit(p, n, n_se)
+        abs(p - p_hat) <= monte_carlo_limit(p, n)
         for p, p_hat in zip(analytic.probs, simulated.oc.probs)
     )

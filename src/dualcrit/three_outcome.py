@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .distributions import binomial_tails, check_open_probability
+from .distributions import binomial_tails, check_count, check_open_probability
 from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics
 
 DEFAULT_N_MAX = 100
@@ -24,6 +24,17 @@ DEFAULT_N_MAX = 100
 # pairs with r_go = r_nogo + 1 degenerate to a two-outcome rule and are
 # excluded from the search.
 MIN_BOUNDARY_GAP = 2
+
+
+def _check_constraints(
+    p0: float, p1: float, alpha: float, beta: float, eta: float, pi: float
+) -> None:
+    check_open_probability(p0, "p0")
+    check_open_probability(p1, "p1")
+    if p0 >= p1:
+        raise ValueError(f"p0 must be below p1, got {p0} >= {p1}")
+    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta), ("pi", pi)):
+        check_open_probability(value, name)
 
 
 @dataclass(frozen=True)
@@ -39,19 +50,13 @@ class ThreeOutcomeDesign:
     pi: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        check_count(self.n, "n")
         if not 0 <= self.r_nogo < self.r_go <= self.n:
             raise ValueError(
                 f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "
                 f"r_nogo={self.r_nogo}, r_go={self.r_go}, n={self.n}"
             )
-        check_open_probability(self.p0, "p0")
-        check_open_probability(self.p1, "p1")
-        if self.p0 >= self.p1:
-            raise ValueError(f"p0 must be below p1, got {self.p0} >= {self.p1}")
-        for name in ("alpha", "beta", "eta", "pi"):
-            check_open_probability(getattr(self, name), name)
+        _check_constraints(self.p0, self.p1, self.alpha, self.beta, self.eta, self.pi)
 
     def constraint_values(self) -> dict[str, float]:
         """Attained values of the four constrained probabilities."""
@@ -132,16 +137,8 @@ def find_three_outcome_design(
     narrowest inconclusive zone). Raises ``InfeasibleDesignError`` when no
     size up to ``n_max`` works.
     """
-    check_open_probability(p0, "p0")
-    check_open_probability(p1, "p1")
-    if p0 >= p1:
-        raise InfeasibleDesignError(
-            f"hypothesized rates must satisfy p0 < p1, got p0={p0}, p1={p1}"
-        )
-    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta), ("pi", pi)):
-        check_open_probability(value, name)
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    _check_constraints(p0, p1, alpha, beta, eta, pi)
+    check_count(n_max, "n_max")
     for n in range(1, n_max + 1):
         pairs = feasible_pairs(n, p0, p1, alpha, beta, eta, pi)
         if pairs:

@@ -18,13 +18,15 @@ scale. Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .distributions import std_normal_quantile
+from .distributions import check_count, std_normal_quantile
 from .outcomes import CutRule, Decision, OperatingCharacteristics
 
 DEFAULT_SIGMA = 2.0
+DEFAULT_LEVEL = 0.95
 
 # Guard against float slop when the sizing formula lands on an integer.
 _CEIL_EPS = 1e-9
@@ -34,7 +36,25 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5), got {alpha}")
+    if alpha < 2**-53:  # 1 - alpha, the quantile's argument, rounds to 1 about here
+        raise ValueError(f"{name} must be at least 2**-53, got {alpha}")
     return alpha
+
+
+def _check_events(n_events: float) -> None:
+    """A real-valued event count: at least 1 and within the float range."""
+    if not n_events >= 1:
+        raise ValueError(f"n_events must be at least 1, got {n_events}")
+    if n_events > sys.float_info.max:
+        raise ValueError(f"n_events must be at most {sys.float_info.max!r}, got {n_events}")
+
+
+def _check_level(level: float) -> None:
+    """A two-sided confidence level whose quantile, at (1 + level) / 2, is below 1."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    if 0.5 * (1.0 + level) == 1.0:
+        raise ValueError(f"level must be at most 1 - 2**-52, got {level}")
 
 
 def _check_positive(value: float, name: str) -> float:
@@ -68,8 +88,7 @@ class DualCriterionTTEDesign:
 
     def __post_init__(self):
         n_min = min_events_dual(self.alpha, self.null_hr, self.decision_hr, self.sigma)
-        if self.n_events < 1 or self.n_events != int(self.n_events):
-            raise ValueError(f"n_events must be a positive integer, got {self.n_events}")
+        check_count(self.n_events, "n_events")
         if self.n_events < n_min:
             warnings.warn(
                 f"n_events={self.n_events} is below the minimum {n_min} at which "
@@ -116,8 +135,8 @@ class StandardTTEDesign:
             delta = math.log(self.null_hr) - math.log(self.alt_hr)
             n = math.ceil(_squared(self.sigma * (z_a + z_b) / delta) - _CEIL_EPS)
             object.__setattr__(self, "n_events", max(1, n))
-        elif not self.n_events >= 1:
-            raise ValueError(f"n_events must be at least 1, got {self.n_events}")
+        else:
+            _check_events(self.n_events)
 
     @property
     def significance_threshold(self) -> float:
@@ -133,14 +152,13 @@ class PrecisionTTEDesign:
     """
 
     factor: float
-    level: float = 0.95
+    level: float = DEFAULT_LEVEL
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
         if not (math.isfinite(self.factor) and self.factor > 1.0):
             raise ValueError(f"factor must exceed 1, got {self.factor}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
         _check_positive(self.sigma, "sigma")
 
 
@@ -168,8 +186,7 @@ def significance_threshold(
     alpha = _check_alpha(alpha)
     _check_positive(null_hr, "null_hr")
     _check_positive(sigma, "sigma")
-    if not n_events >= 1:
-        raise ValueError(f"n_events must be at least 1, got {n_events}")
+    _check_events(n_events)
     z = std_normal_quantile(1.0 - alpha)
     threshold = null_hr * math.exp(-z * sigma / math.sqrt(n_events))
     if threshold == 0.0:
@@ -195,7 +212,7 @@ def precision_events(design: PrecisionTTEDesign) -> int:
 
 
 def implied_precision_factor(
-    sigma: float, n_events: float, level: float = 0.95
+    sigma: float, n_events: float, level: float = DEFAULT_LEVEL
 ) -> float:
     """Half-width factor f of the two-sided CI achieved by a given size.
 
@@ -203,10 +220,8 @@ def implied_precision_factor(
     confidence level is (estimate / f, estimate * f).
     """
     _check_positive(sigma, "sigma")
-    if not n_events >= 1:
-        raise ValueError(f"n_events must be at least 1, got {n_events}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_events(n_events)
+    _check_level(level)
     z = std_normal_quantile(0.5 * (1.0 + level))
     try:
         return math.exp(z * sigma / math.sqrt(n_events))

@@ -175,6 +175,11 @@ class TestGridSearch:
         with pytest.raises(InfeasibleDesignError, match="no conclusive sample size"):
             min_sample_size_grid(PRIOR, 0.075, 0.999999, 0.076, n_max=25)
 
+    @pytest.mark.parametrize("n_max", [0, 2.5, 2**53 + 1, 10**400])
+    def test_rejects_a_size_cap_that_is_not_a_count(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be"):
+            min_sample_size_grid(PRIOR, 0.075, 0.95, 0.175, n_max=n_max)
+
     def test_rejects_sig_prob_below_one_half(self):
         with pytest.raises(ValueError, match=r"sig_prob must lie in \[0\.5, 1\), got 0\.3"):
             min_sample_size_grid(PRIOR, 0.075, 0.3, 0.175, n_max=50)

@@ -98,6 +98,21 @@ class TestSize:
         assert out == ""
         assert err.splitlines() == ["error: sig_prob must lie in [0.5, 1), got 0.3"]
 
+    def test_three_outcome_search_rejects_p0_at_or_above_p1_as_the_design_does(self, capsys, tmp_path):
+        # Without n, r_go and r_nogo the design comes from the search, which
+        # must reject the inputs as the pinned design does: exit 2, not 3.
+        text = Path(BINARY_CONFIGS[2]).read_text()
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text(
+            "".join(
+                line for line in text.splitlines(True)
+                if line.partition("=")[0].strip() not in ("n", "r_go", "r_nogo")
+            )
+        )
+        pinned = run(capsys, "size", "--config", BINARY_CONFIGS[2], "--set", "p0=0.4")
+        searched = run(capsys, "size", "--config", str(cfg), "--set", "p0=0.4")
+        assert searched == pinned == (2, "", "error: p0 must be below p1, got 0.4 >= 0.275\n")
+
 
 class TestStandardDesignSigma:
     """The standard design's event count, threshold and OC at sigma != 2,
@@ -565,6 +580,29 @@ class TestExtremeMagnitudes:
             code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["oc", "--config", TTE_CONFIGS[0], "--set", f"n_events={10**400}"],
+             f"n_events must be at most 2**53, got {10**400}"),
+            (["oc", "--config", BINARY_CONFIGS[0], "--set", f"n={10**400}"],
+             f"n must be at most 2**53, got {10**400}"),
+            (["oc", "--config", TTE_CONFIGS[2], "--set", f"n_events={10**400}"],
+             f"n_events must be at most 1.7976931348623157e+308, got {10**400}"),
+            (["size", "--config", TTE_CONFIGS[0], "--set", "alpha=1e-17"],
+             "alpha must be at least 2**-53, got 1e-17"),
+            (["size", "--config", TTE_CONFIGS[2], "--set", "beta=1e-17"],
+             "beta must be at least 2**-53, got 1e-17"),
+            (["size", "--config", TTE_CONFIGS[0], "--set", "level=0.9999999999999999"],
+             "level must be at most 1 - 2**-52, got 0.9999999999999999"),
+        ],
+        ids=["dual-events", "binary-n", "standard-events", "alpha", "beta", "level"],
+    )
+    def test_input_past_the_bound_of_its_formula(self, capsys, argv, error):
+        # Sizes past the float range used to end in an OverflowError, and
+        # rates whose quantile argument rounds to 1 named an internal call.
+        assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
     def test_precision_size_overflow(self, capsys, tmp_path):
         cfg = tmp_path / "prec.cfg"
         cfg.write_text("endpoint = tte\ndesign_kind = precision\nfactor = 1.2\nsigma = 1e300\n")
@@ -601,6 +639,39 @@ def test_decide_on_a_posterior_in_the_millions():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout.startswith("GO: ")
+
+
+class TestRepeatedOption:
+    """A single-valued option given twice is an error, not a silent
+    override by the last value."""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["size", "--config", TTE_CONFIGS[0], "--config", BINARY_CONFIGS[0]], "--config"),
+            (["verify", "--config", BINARY_CONFIGS[0], "--seed", "1", "--seed", "2"], "--seed"),
+            (["verify", "--config", BINARY_CONFIGS[0], "--reps", "1000", "--reps=2000"], "--reps"),
+            (["verify", "--config", BINARY_CONFIGS[0], "--corrupt-go-boundary", "0",
+              "--corrupt-go-boundary", "0"], "--corrupt-go-boundary"),
+            (["oc", "--config", TTE_CONFIGS[0], "--grid", "0.5", "--grid", "0.7"], "--grid"),
+            (["oc", "--config", TTE_CONFIGS[0], "--csv", "a.csv", "--csv", "b.csv"], "--csv"),
+            (["size", "--config", TTE_CONFIGS[0], "--dump-config", "a", "--dump-config", "b"],
+             "--dump-config"),
+            (["decide", "--config", BINARY_CONFIGS[0], "--observed", "3", "--observed", "4"],
+             "--observed"),
+            (["compare", "--config", TTE_CONFIGS[0], "--config", TTE_CONFIGS[1], "--csv", "a",
+              "--csv", "b"], "--csv"),
+        ],
+        ids=["config", "seed", "reps", "corrupt", "grid", "csv", "dump-config", "observed", "compare-csv"],
+    )
+    def test_exits_2_naming_the_option(self, capsys, tmp_path, monkeypatch, argv, option):
+        monkeypatch.chdir(tmp_path)  # nothing may be written
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {option}: may be given only once")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInfeasibleExitCode:

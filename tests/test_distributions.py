@@ -24,6 +24,7 @@ from dualcrit.distributions import (
     binomial_cut_probs,
     binomial_pmf,
     binomial_tail,
+    check_count,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -43,6 +44,27 @@ def erf_series(x: float) -> float:
 
 def phi_series(x: float) -> float:
     return 0.5 * (1.0 + erf_series(x / math.sqrt(2.0)))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [1, 25, 25.0, 2**53])
+    def test_accepts_counts_that_convert_to_float_exactly(self, value):
+        assert check_count(value, "n") == value
+        assert isinstance(check_count(value, "n"), int)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), float("inf")])
+    def test_rejects_non_counts(self, value):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {value}"):
+            check_count(value, "n")
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400, 1e300])
+    def test_rejects_counts_past_2_to_the_53(self, value):
+        with pytest.raises(ValueError, match=r"n must be at most 2\*\*53, got"):
+            check_count(value, "n")
+
+    def test_binomial_trials_share_it(self):
+        with pytest.raises(ValueError, match=r"number of trials must be at most 2\*\*53"):
+            binomial_pmf(2**53 + 1, 0.5, 0)
 
 
 class TestStdNormalCdf:

@@ -272,7 +272,7 @@ def test_dumped_config_rebuilds_an_equal_design(kind):
 # faults: a key missing, a key the kind does not read, a bad endpoint or
 # design kind, or a value out of range, non-numeric, nan, inf or extreme.
 # Sizes stay small enough for the sizing scans: n <= 200, n_events <= 2000,
-# reps 1000-5000.
+# reps 1000-5000; a bad count past 2**53 must be rejected before any scan.
 FUZZ_FLOATS = {
     "alpha": (0.001, 0.45), "beta": (0.01, 0.45), "null_hr": (0.9, 1.5),
     "decision_hr": (0.1, 0.95), "alt_hr": (0.1, 0.95), "sigma": (0.5, 5.0),
@@ -288,12 +288,16 @@ FUZZ_INTS = {
 NOT_NUMBERS = ["nan", "inf", "-inf", "abc", "", "1,2"]
 BAD_VALUES = {
     "float": NOT_NUMBERS + ["0", "-1", "1", "1e300", "1e-300", "-1e-300"],
-    "int": NOT_NUMBERS + ["0", "-3", "2.5", "1e2"],
+    # 1e400 and 2**53 + 1 are past what a count converts to float exactly.
+    "int": NOT_NUMBERS + ["0", "-3", "2.5", "1e2", "1" + "0" * 400, str(2**53 + 1)],
     "grid": NOT_NUMBERS + ["0", "-1", "1", "1e300", "1e-300", "0.5, nan"],
     "seed": ["-1", str(2**64), "2.5", "nan"],
     "reps": ["0", "-3", "999", "2.5", "nan"],
 }
-EXTREMES = ["1e300", "1e-300", "1e12", "1e-12", "0.4999999999", "0.9999999999"]
+EXTREMES = [
+    "1e300", "1e-300", "1e12", "1e-12", "1e-17", "0.4999999999", "0.9999999999",
+    "0.9999999999999999",
+]
 ALL_KEYS = sorted({key for entry in DESIGNS.values() for key in entry.keys})
 
 

@@ -73,6 +73,18 @@ class TestOperatingCharacteristics:
         with pytest.raises(ValueError):
             ThreeOutcomeDesign(n=27, r_go=28, r_nogo=3, **CONSTRAINTS)
 
+    def test_rejects_non_integral_size(self):
+        with pytest.raises(ValueError, match="n must be a positive integer, got 27.5"):
+            ThreeOutcomeDesign(n=27.5, r_go=5, r_nogo=3, **CONSTRAINTS)
+
+    def test_design_rejects_p0_at_or_above_p1_as_the_search_does(self):
+        constraints = {**CONSTRAINTS, "p0": 0.3}
+        with pytest.raises(ValueError) as design_error:
+            ThreeOutcomeDesign(n=27, r_go=5, r_nogo=3, **constraints)
+        with pytest.raises(ValueError) as search_error:
+            find_three_outcome_design(**constraints)
+        assert str(search_error.value) == str(design_error.value) == "p0 must be below p1, got 0.3 >= 0.275"
+
 
 class TestDesignSearch:
     def test_reproduces_published_design(self):
@@ -108,8 +120,15 @@ class TestDesignSearch:
         assert feasible_pairs(27, **CONSTRAINTS) == [(3, 5)]
 
     def test_identical_hypotheses_rejected(self):
-        with pytest.raises(InfeasibleDesignError):
+        # An input error, as for the design itself, not an infeasible search.
+        with pytest.raises(ValueError, match="p0 must be below p1, got 0.2 >= 0.2") as info:
             find_three_outcome_design(0.2, 0.2, 0.05, 0.1, 0.8, 0.9, n_max=50)
+        assert not isinstance(info.value, InfeasibleDesignError)
+
+    @pytest.mark.parametrize("n_max", [0, 2.5, 2**53 + 1, 10**400])
+    def test_rejects_a_size_cap_that_is_not_a_count(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be"):
+            find_three_outcome_design(**CONSTRAINTS, n_max=n_max)
 
     def test_unattainable_constraints_reported(self):
         with pytest.raises(InfeasibleDesignError, match="no feasible"):

@@ -305,6 +305,45 @@ class TestStandardDesignSize:
                 StandardTTEDesign(0.1, 0.1, 0.5), 2.5, 77, true_hr
             ) == standard_cut_rule(sized).oc(true_hr)
 
+    @pytest.mark.parametrize("n_events", [10**400, float("inf")])
+    def test_rejects_a_size_past_the_float_range(self, n_events):
+        with pytest.raises(ValueError, match="n_events must be at most 1.7976931348623157e[+]308"):
+            StandardTTEDesign(0.1, 0.1, 0.5, n_events=n_events)
+
+
+class TestInputBounds:
+    """Each input is checked once, with the bound its formula needs."""
+
+    def test_real_valued_event_counts_are_not_capped_at_2_to_the_53(self):
+        assert significance_threshold(0.1, 1.0, 2.0, 1e25) < 1.0
+        assert implied_precision_factor(2.0, 1e25) > 1.0
+        with pytest.raises(ValueError, match="n_events must be at most"):
+            implied_precision_factor(2.0, 10**400)
+
+    def test_dual_design_size_is_a_count(self):
+        for n_events in (70.5, 2**53 + 1):
+            with pytest.raises(ValueError, match="n_events must be"):
+                DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, n_events=n_events)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_error_rates_below_2_to_the_minus_53_rejected(self, name):
+        rates = {"alpha": 0.1, "beta": 0.1, name: 1e-17}
+        with pytest.raises(ValueError, match=f"{name} must be at least 2[*][*]-53, got 1e-17"):
+            StandardTTEDesign(alt_hr=0.5, **rates)
+        rates[name] = 2**-53
+        assert StandardTTEDesign(alt_hr=0.5, **rates).n_events >= 1
+
+    def test_level_whose_quantile_rounds_to_one_rejected(self):
+        top = 1.0 - 2**-52
+        assert implied_precision_factor(2.0, 100, top) > 1.0
+        assert precision_events(PrecisionTTEDesign(factor=1.5, level=top)) >= 1
+        for call in (
+            lambda: implied_precision_factor(2.0, 100, 0.9999999999999999),
+            lambda: PrecisionTTEDesign(factor=1.5, level=0.9999999999999999),
+        ):
+            with pytest.raises(ValueError, match="level must be at most 1 - 2[*][*]-52"):
+                call()
+
 
 class TestStandardOperatingCharacteristics:
     @pytest.mark.parametrize("key,rows", sorted(TABLE_STANDARD.items()))
