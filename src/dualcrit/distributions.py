@@ -69,11 +69,12 @@ def check_open_probability(value: float, name: str = "probability") -> float:
     return value
 
 
-def check_count(value, name: str) -> int:
-    """Validate a positive integer count, at most 2**53 so that it converts
-    to float exactly, and return it as an int."""
-    if not 1 <= value < math.inf or value != int(value):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+def check_count(value, name: str, least: int = 1) -> int:
+    """Validate an integer count of at least ``least`` (0 or 1), at most
+    2**53 so that it converts to float exactly, and return it as an int."""
+    if not least <= value < math.inf or value != int(value):
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
     if value > _MAX_COUNT:
         raise ValueError(f"{name} must be at most 2**53, got {value}")
     return int(value)

@@ -1,22 +1,24 @@
 """Independent Monte Carlo check of every analytic operating characteristic.
 
-Replicates are driven by counter-based Philox streams keyed by
-(seed, scenario, chunk), with a fixed chunk size, so results are
-bit-identical for a given seed no matter how the chunks are executed or
-in what order the counts are reduced. Normal draws go through the same
-inverse-CDF code path the analytic formulas use. numpy is imported by the
-functions that draw and count, so importing this module for
-``SimulationConfig`` or ``monte_carlo_limit`` does not load it.
+Replicates are drawn, decided and counted one keyed chunk at a time. Each
+chunk of a fixed size has its own counter-based Philox stream keyed by
+(seed, scenario, chunk), and its GO and NO-GO counts are added up as exact
+integers, so results are bit-identical for a given seed no matter how the
+chunks are executed or in what order the counts are reduced, and the
+arrays held at any time are O(chunk), not O(replicates). Normal draws go
+through the same inverse-CDF code path the analytic formulas use. numpy is
+imported by the functions that draw and count, so importing this module
+for ``SimulationConfig`` or ``monte_carlo_limit`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .binary import DualCriterionBinaryDesign, decide_binary
-from .distributions import binomial_pmf, std_normal_quantile
+from .distributions import binomial_pmf, check_count, std_normal_quantile
 from .outcomes import DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -28,7 +30,14 @@ if TYPE_CHECKING:
 # never depends on how work is scheduled.
 _CHUNK = 8192
 
-_GO, _NOGO, _INCONCLUSIVE = 0, 1, 2
+
+def _key_word(value, name: str, bits: int) -> int:
+    """Validate an integer that fills ``bits`` bits of the Philox key."""
+    if not 0 <= value < 2**bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,14 +49,10 @@ class SimulationConfig:
     scenario: int = 0
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ValueError(
-                f"n_replicates must be a positive integer, got {self.n_replicates}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not 0 <= self.scenario < 2**32:
-            raise ValueError(f"scenario index must fit in 32 bits, got {self.scenario}")
+        # Stored as int, so that an integral float keys the same stream.
+        object.__setattr__(self, "n_replicates", check_count(self.n_replicates, "n_replicates"))
+        object.__setattr__(self, "seed", _key_word(self.seed, "seed", 64))
+        object.__setattr__(self, "scenario", _key_word(self.scenario, "scenario", 32))
 
 
 @dataclass(frozen=True)
@@ -64,26 +69,32 @@ class SimulatedOC:
             raise ValueError("category counts must partition the replicates")
 
 
-def _uniform_stream(seed: int, scenario: int, n: int) -> np.ndarray:
-    """n uniforms from Philox streams keyed by (seed, scenario, chunk)."""
+def _keyed_chunks(seed: int, scenario: int, n: int) -> Iterator[np.ndarray]:
+    """The uniforms of n replicates, one chunk at a time: chunk c holds
+    replicates [c * _CHUNK, (c + 1) * _CHUNK) and draws them from the Philox
+    stream keyed by (seed, scenario << 32 | c)."""
     import numpy as np
 
-    out = np.empty(n)
-    for chunk in range((n + _CHUNK - 1) // _CHUNK):
+    for chunk, lo in enumerate(range(0, n, _CHUNK)):
         key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        lo = chunk * _CHUNK
-        hi = min(n, lo + _CHUNK)
-        out[lo:hi] = gen.random(hi - lo)
-    return out
+        yield np.random.Generator(np.random.Philox(key=key)).random(min(_CHUNK, n - lo))
 
 
-def _summarize(true_effect: float, codes: np.ndarray, n: int) -> SimulatedOC:
-    import numpy as np
-
-    counts = np.bincount(codes, minlength=3)
-    n_go, n_nogo, n_inc = (int(counts[c]) for c in (_GO, _NOGO, _INCONCLUSIVE))
-    probs = (n_go / n, n_nogo / n, n_inc / n)
+def _tally(
+    true_effect: float,
+    decide: Callable[[np.ndarray], tuple[int, int]],
+    cfg: SimulationConfig,
+) -> SimulatedOC:
+    """Add up the (GO, NO-GO) counts ``decide`` gives for each chunk's
+    uniforms; the remaining replicates are inconclusive."""
+    n = cfg.n_replicates
+    n_go = n_nogo = 0
+    for u in _keyed_chunks(cfg.seed, cfg.scenario, n):
+        go, nogo = decide(u)
+        n_go += go
+        n_nogo += nogo
+    counts = (n_go, n_nogo, n - n_go - n_nogo)
+    probs = tuple(c / n for c in counts)
     ses = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
     oc = OperatingCharacteristics(
         true_effect=true_effect,
@@ -91,7 +102,7 @@ def _summarize(true_effect: float, codes: np.ndarray, n: int) -> SimulatedOC:
         p_nogo=probs[1],
         p_inconclusive=probs[2],
     )
-    return SimulatedOC(oc=oc, counts=(n_go, n_nogo, n_inc), std_errors=ses, n_replicates=n)
+    return SimulatedOC(oc=oc, counts=counts, std_errors=ses, n_replicates=n)
 
 
 def simulate_tte_oc(
@@ -104,20 +115,22 @@ def simulate_tte_oc(
 
     if not true_hr > 0.0:
         raise ValueError(f"true_hr must be positive, got {true_hr}")
-    n = cfg.n_replicates
-    u = _uniform_stream(cfg.seed, cfg.scenario, n)
-    # The quantile transform needs open-interval inputs.
-    z = std_normal_quantile(np.maximum(u, np.finfo(float).tiny))
+    tiny = np.finfo(float).tiny
     s = design.sigma / math.sqrt(design.n_events)
-    hr = np.exp(math.log(true_hr) + s * z)
-    significant = hr <= design.significance_threshold
-    relevant = hr <= design.decision_hr
-    codes = np.where(
-        significant & relevant,
-        _GO,
-        np.where(~significant & ~relevant, _NOGO, _INCONCLUSIVE),
-    )
-    return _summarize(true_hr, codes, n)
+    significance_hr = design.significance_threshold
+
+    def decide(u):
+        # The quantile transform needs open-interval inputs.
+        z = std_normal_quantile(np.maximum(u, tiny, out=u))
+        hr = np.exp(math.log(true_hr) + s * z)
+        significant = hr <= significance_hr
+        relevant = hr <= design.decision_hr
+        return (
+            int(np.count_nonzero(significant & relevant)),
+            int(np.count_nonzero(~(significant | relevant))),
+        )
+
+    return _tally(true_hr, decide, cfg)
 
 
 def simulate_binary_oc(
@@ -137,20 +150,24 @@ def simulate_binary_oc(
         raise ValueError(f"true_orr must lie in (0, 1), got {true_orr}")
     n_trials = design.n
     if isinstance(design, ThreeOutcomeDesign):
-        codes_by_r = np.full(n_trials + 1, _INCONCLUSIVE)
-        codes_by_r[design.r_go:] = _GO
-        codes_by_r[: design.r_nogo + 1] = _NOGO
+        responders = np.arange(n_trials + 1)
+        go, nogo = responders >= design.r_go, responders <= design.r_nogo
     else:
         tags = [decide_binary(design, r).tag for r in range(n_trials + 1)]
-        codes_by_r = np.array(
-            [_GO if t is DecisionTag.GO else _NOGO if t is DecisionTag.NOGO else _INCONCLUSIVE
-             for t in tags]
-        )
+        go = np.array([t is DecisionTag.GO for t in tags])
+        nogo = np.array([t is DecisionTag.NOGO for t in tags])
     cdf = np.cumsum([binomial_pmf(n_trials, true_orr, k) for k in range(n_trials + 1)])
-    n = cfg.n_replicates
-    u = _uniform_stream(cfg.seed, cfg.scenario, n)
-    draws = np.minimum(np.searchsorted(cdf, u, side="right"), n_trials)
-    return _summarize(true_orr, codes_by_r[draws], n)
+
+    def decide(u):
+        # A replicate draws at most k responders when u < cdf[k]; n takes
+        # every u above the rounded CDF's last entry. Sorting the chunk
+        # turns that into one binary search per count, not per replicate.
+        u.sort()
+        at_most = np.searchsorted(u, cdf[:-1])
+        by_count = np.diff(at_most, prepend=0, append=u.size)
+        return int(by_count[go].sum()), int(by_count[nogo].sum())
+
+    return _tally(true_orr, decide, cfg)
 
 
 def monte_carlo_limit(p: float, n_replicates: int) -> float:

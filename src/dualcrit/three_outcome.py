@@ -56,6 +56,8 @@ class ThreeOutcomeDesign:
                 f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "
                 f"r_nogo={self.r_nogo}, r_go={self.r_go}, n={self.n}"
             )
+        check_count(self.r_nogo, "r_nogo", least=0)
+        check_count(self.r_go, "r_go")
         _check_constraints(self.p0, self.p1, self.alpha, self.beta, self.eta, self.pi)
 
     def constraint_values(self) -> dict[str, float]:

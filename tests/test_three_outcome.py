@@ -77,6 +77,19 @@ class TestOperatingCharacteristics:
         with pytest.raises(ValueError, match="n must be a positive integer, got 27.5"):
             ThreeOutcomeDesign(n=27.5, r_go=5, r_nogo=3, **CONSTRAINTS)
 
+    @pytest.mark.parametrize(
+        "r_go,r_nogo,message",
+        [
+            (4.5, 3, "r_go must be a positive integer, got 4.5"),
+            (5, 2.5, "r_nogo must be a non-negative integer, got 2.5"),
+        ],
+    )
+    def test_rejects_non_integral_boundaries(self, r_go, r_nogo, message):
+        # a boundary of 4.5 used to build, and three_outcome_oc then raised
+        # TypeError on a slice index
+        with pytest.raises(ValueError, match=message):
+            ThreeOutcomeDesign(n=27, r_go=r_go, r_nogo=r_nogo, **CONSTRAINTS)
+
     def test_design_rejects_p0_at_or_above_p1_as_the_search_does(self):
         constraints = {**CONSTRAINTS, "p0": 0.3}
         with pytest.raises(ValueError) as design_error:
