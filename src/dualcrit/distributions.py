@@ -1,14 +1,14 @@
 """Probability primitives for design calculations.
 
-Standard normal CDF (``erfc``) and quantile (``ndtri``), the parts of a
-binomial or normal statistic beyond two cut points, and the regularized
-incomplete beta function with its inverse. Only the three families the
-designs need; this is not a general distribution library.
+Standard normal CDF (``math.erfc``) and quantile (``NormalDist.inv_cdf``,
+Wichura's AS241), the parts of a binomial or normal statistic beyond two
+cut points, and the regularized incomplete beta function with its inverse.
+Only the three families the designs need; this is not a general
+distribution library.
 
-numpy and scipy are imported by the two normal functions that use them,
-not with this module, so the binary designs run on the standard library
-alone and a command that never touches a normal distribution does not pay
-for loading them.
+Everything here takes and returns scalars and runs on the standard
+library, so no design calculation loads numpy or scipy; the simulation
+oracle is the only code that works on arrays.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 # Continued-fraction evaluation limits for the incomplete beta function;
 # near the mean it needs about 0.4 * sqrt(max(a, b)) terms.
@@ -80,40 +82,36 @@ def check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF.
+def _scalar(value, name: str) -> float:
+    """``value`` as a float; a sequence or an array is a TypeError naming
+    the function, since these functions take one number at a time."""
+    try:
+        return float(value)
+    except TypeError:
+        raise TypeError(f"{name} takes a single number, got {type(value).__name__}") from None
 
-    Accepts a float or an ndarray and returns the same shape. Built on
-    erfc so both tails keep full relative accuracy.
-    """
-    import numpy as np
-    from scipy.special import erfc
 
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def std_normal_cdf(x: float) -> float:
+    """Standard normal CDF, built on erfc so both tails keep full relative
+    accuracy."""
+    x = _scalar(x, "std_normal_cdf")
+    if not math.isfinite(x):
         raise ValueError("std_normal_cdf requires finite input")
-    out = 0.5 * erfc(-arr / _SQRT2)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_quantile(p):
-    """Inverse of ``std_normal_cdf`` for 0 < p < 1 (float or ndarray).
+def std_normal_quantile(p: float) -> float:
+    """Inverse of ``std_normal_cdf`` for 0 < p < 1.
 
-    Cephes ``ndtri``, a rational approximation with full relative
-    accuracy in both tails, down to the smallest positive doubles.
+    Wichura's AS241 rational approximations, with full relative accuracy in
+    both tails, down to the smallest positive doubles. Take an upper
+    quantile as minus the lower one, ``-std_normal_quantile(alpha)``: the
+    argument ``1 - alpha`` would already be rounded.
     """
-    import numpy as np
-    from scipy.special import ndtri
-
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    p = _scalar(p, "std_normal_quantile")
+    if not 0.0 < p < 1.0:
         raise ValueError("std_normal_quantile requires 0 < p < 1")
-    out = ndtri(arr)
-    if np.ndim(p) == 0:
-        return float(out)
-    return out
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def _check_binomial_args(n: int, p: float) -> float:
@@ -185,10 +183,11 @@ def normal_cut_probs(mean: float, se: float, lo: float, hi: float) -> tuple[floa
     """
     if not lo <= hi:
         raise ValueError(f"cut points must satisfy lo <= hi, got {lo}, {hi}")
-    # One CDF call for three tails; the third lies past the cut nearer the mean.
+    # The third tail lies past the cut nearer the mean.
     near = lo if mean <= lo else hi if hi <= mean else mean
-    tails = std_normal_cdf([(mean - hi) / se, (lo - mean) / se, -abs(near - mean) / se])
-    p_go, p_nogo, p_near = map(float, tails)
+    p_go = std_normal_cdf((mean - hi) / se)
+    p_nogo = std_normal_cdf((lo - mean) / se)
+    p_near = std_normal_cdf(-abs(near - mean) / se)
     between = p_near - p_go if mean <= lo else p_near - p_nogo if hi <= mean else 1.0 - p_go - p_nogo
     return p_go, p_nogo, between
 

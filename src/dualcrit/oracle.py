@@ -5,10 +5,14 @@ chunk of a fixed size has its own counter-based Philox stream keyed by
 (seed, scenario, chunk), and its GO and NO-GO counts are added up as exact
 integers, so results are bit-identical for a given seed no matter how the
 chunks are executed or in what order the counts are reduced, and the
-arrays held at any time are O(chunk), not O(replicates). Normal draws go
-through the same inverse-CDF code path the analytic formulas use. numpy is
-imported by the functions that draw and count, so importing this module
-for ``SimulationConfig`` or ``monte_carlo_limit`` does not load it.
+arrays held at any time are O(chunk), not O(replicates).
+
+Normal draws are inverted with scipy's Cephes ``ndtri``, an implementation
+independent of the AS241 quantile the analytic formulas use, so comparing
+the two also cross-checks the quantiles. This is the only module that
+imports numpy or scipy, and only in the functions that draw and count, so
+importing it for ``SimulationConfig`` or ``monte_carlo_limit`` loads
+neither.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .binary import DualCriterionBinaryDesign, decide_binary
-from .distributions import binomial_pmf, check_count, std_normal_quantile
+from .distributions import binomial_pmf, check_count
 from .outcomes import DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -112,6 +116,7 @@ def simulate_tte_oc(
     the decisions they trigger.
     """
     import numpy as np
+    from scipy.special import ndtri
 
     if not true_hr > 0.0:
         raise ValueError(f"true_hr must be positive, got {true_hr}")
@@ -121,7 +126,10 @@ def simulate_tte_oc(
 
     def decide(u):
         # The quantile transform needs open-interval inputs.
-        z = std_normal_quantile(np.maximum(u, tiny, out=u))
+        np.maximum(u, tiny, out=u)
+        if not (u.min() > 0.0 and u.max() < 1.0):
+            raise ValueError("the normal quantile requires uniforms in (0, 1)")
+        z = ndtri(u)
         hr = np.exp(math.log(true_hr) + s * z)
         significant = hr <= significance_hr
         relevant = hr <= design.decision_hr

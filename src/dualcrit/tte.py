@@ -36,7 +36,9 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5), got {alpha}")
-    if alpha < 2**-53:  # 1 - alpha, the quantile's argument, rounds to 1 about here
+    # The lower-tail quantile is accurate far below this floor; the floor
+    # keeps 1 - alpha, the confidence level of a threshold, below 1 in a double.
+    if alpha < 2**-53:
         raise ValueError(f"{name} must be at least 2**-53, got {alpha}")
     return alpha
 
@@ -50,7 +52,8 @@ def _check_events(n_events: float) -> None:
 
 
 def _check_level(level: float) -> None:
-    """A two-sided confidence level whose quantile, at (1 + level) / 2, is below 1."""
+    """A two-sided confidence level in (0, 1) whose upper tail point
+    (1 + level) / 2 is distinct from 1 in a double."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if 0.5 * (1.0 + level) == 1.0:
@@ -130,8 +133,8 @@ class StandardTTEDesign:
             )
         _check_positive(self.sigma, "sigma")
         if self.n_events is None:
-            z_a = std_normal_quantile(1.0 - self.alpha)
-            z_b = std_normal_quantile(1.0 - self.beta)
+            z_a = -std_normal_quantile(self.alpha)
+            z_b = -std_normal_quantile(self.beta)
             delta = math.log(self.null_hr) - math.log(self.alt_hr)
             n = math.ceil(_squared(self.sigma * (z_a + z_b) / delta) - _CEIL_EPS)
             object.__setattr__(self, "n_events", max(1, n))
@@ -174,7 +177,7 @@ def min_events_dual(
     _check_positive(sigma, "sigma")
     if decision_hr >= null_hr:
         raise ValueError(f"decision_hr must be below null_hr, got {decision_hr} >= {null_hr}")
-    z = std_normal_quantile(1.0 - alpha)
+    z = -std_normal_quantile(alpha)
     delta = math.log(null_hr) - math.log(decision_hr)
     return max(1, math.ceil(_squared(sigma * z / delta) - _CEIL_EPS))
 
@@ -187,7 +190,7 @@ def significance_threshold(
     _check_positive(null_hr, "null_hr")
     _check_positive(sigma, "sigma")
     _check_events(n_events)
-    z = std_normal_quantile(1.0 - alpha)
+    z = -std_normal_quantile(alpha)
     threshold = null_hr * math.exp(-z * sigma / math.sqrt(n_events))
     if threshold == 0.0:
         raise ValueError(
@@ -206,7 +209,7 @@ def precision_events(design: PrecisionTTEDesign) -> int:
 
     Rounded to the nearest integer (half away from zero), never below 1.
     """
-    z = std_normal_quantile(0.5 * (1.0 + design.level))
+    z = -std_normal_quantile(0.5 * (1.0 - design.level))
     n = _squared(z * design.sigma / math.log(design.factor))
     return max(1, math.floor(n + 0.5))
 
@@ -222,7 +225,7 @@ def implied_precision_factor(
     _check_positive(sigma, "sigma")
     _check_events(n_events)
     _check_level(level)
-    z = std_normal_quantile(0.5 * (1.0 + level))
+    z = -std_normal_quantile(0.5 * (1.0 - level))
     try:
         return math.exp(z * sigma / math.sqrt(n_events))
     except OverflowError:

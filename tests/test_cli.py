@@ -8,9 +8,9 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from statistics import NormalDist
 
 import pytest
+from scipy.special import ndtr, ndtri
 
 from dualcrit.cli import main
 from dualcrit.config import load_config, parse_value, resolve_design
@@ -116,7 +116,8 @@ class TestSize:
 
 class TestStandardDesignSigma:
     """The standard design's event count, threshold and OC at sigma != 2,
-    against the normal approximation written out with ``NormalDist``."""
+    against the normal approximation written out with scipy's Cephes
+    ``ndtr`` and ``ndtri``, which the program does not use for these."""
 
     @pytest.mark.parametrize(
         "sigma,n_events", [(3.0, None), (2.5, 77)], ids=["sized", "given_size"]
@@ -125,13 +126,13 @@ class TestStandardDesignSigma:
         sets = ["--set", f"sigma={sigma}"]
         if n_events is not None:
             sets = ["--set", f"n_events={n_events}", *sets]
-        z = NormalDist().inv_cdf
         alpha, beta, alt_hr = 0.1, 0.1, 0.5  # randomized_tte_design3.cfg
+        z_a, z_b = -float(ndtri(alpha)), -float(ndtri(beta))
         if n_events is None:
-            root = sigma * (z(1 - alpha) + z(1 - beta)) / -math.log(alt_hr)
+            root = sigma * (z_a + z_b) / -math.log(alt_hr)
             n_events = math.ceil(root**2 - 1e-9)
         s = sigma / math.sqrt(n_events)
-        log_threshold = -z(1 - alpha) * s
+        log_threshold = -z_a * s
 
         code, out, _ = run(capsys, "size", "--config", TTE_CONFIGS[2], *sets)
         assert code == 0
@@ -141,7 +142,7 @@ class TestStandardDesignSigma:
             math.exp(log_threshold), abs=5e-4
         )
         assert float(lines[2].rpartition(" = ")[2]) == pytest.approx(
-            math.exp(z(0.975) * s), abs=5e-4
+            math.exp(-float(ndtri(0.025)) * s), abs=5e-4
         )
 
         csv_path = tmp_path / "oc.csv"
@@ -152,8 +153,8 @@ class TestStandardDesignSigma:
         assert [float(row["true_effect"]) for row in rows] == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         for row in rows:
             x = (log_threshold - math.log(float(row["true_effect"]))) / s
-            assert float(row["p_go"]) == pytest.approx(NormalDist().cdf(x), rel=1e-12, abs=0)
-            assert float(row["p_nogo"]) == pytest.approx(NormalDist().cdf(-x), rel=1e-12, abs=0)
+            assert float(row["p_go"]) == pytest.approx(float(ndtr(x)), rel=1e-12, abs=0)
+            assert float(row["p_nogo"]) == pytest.approx(float(ndtr(-x)), rel=1e-12, abs=0)
             assert float(row["p_inconclusive"]) == 0.0
 
 
@@ -719,10 +720,10 @@ THREE_OUTCOME = BINARY_CONFIGS[2]
 
 
 class TestImportBoundary:
-    """numpy and scipy load only in the functions that compute on arrays:
-    the binary commands run on the standard library, binary ``verify``
-    needs numpy for the oracle, and the TTE designs need scipy's ndtri and
-    erfc."""
+    """numpy and scipy load only in the oracle, the one code that computes
+    on arrays: ``size``, ``oc``, ``decide`` and ``compare`` run on the
+    standard library for every design, binary ``verify`` needs numpy, and
+    TTE ``verify`` also needs scipy's ndtri."""
 
     @pytest.mark.parametrize(
         "argv,loaded",
@@ -748,7 +749,25 @@ class TestImportBoundary:
                          id="compare-binary"),
             pytest.param(("verify", "--config", THREE_OUTCOME, "--seed", "7", "--reps", "20000"), ("numpy",),
                          id="verify-binary"),
-            pytest.param(("size", "--config", TTE_CONFIGS[0]), ("numpy", "scipy"), id="size-tte"),
+            pytest.param(("size", "--config", TTE_CONFIGS[0]), (), id="size-tte"),
+            *(
+                pytest.param(("size", "--config", path), (), id=f"size-{Path(path).stem}")
+                for path in TTE_CONFIGS[1:]
+            ),
+            *(
+                pytest.param(("oc", "--config", path, "--csv", "{tmp}/oc.csv"), (),
+                             id=f"oc-csv-{Path(path).stem}")
+                for path in TTE_CONFIGS
+            ),
+            *(
+                pytest.param(("decide", "--config", path, "--observed", "0.75"), (),
+                             id=f"decide-{Path(path).stem}")
+                for path in TTE_CONFIGS[:2]
+            ),
+            pytest.param(("compare", *(x for p in TTE_CONFIGS for x in ("--config", p))), (),
+                         id="compare-tte"),
+            pytest.param(("verify", "--config", TTE_CONFIGS[0], "--seed", "7", "--reps", "20000"),
+                         ("numpy", "scipy"), id="verify-tte"),
         ],
     )
     def test_modules_loaded_at_exit(self, tmp_path, argv, loaded):

@@ -2,16 +2,17 @@
 
 Oracles used here deliberately avoid the implementation's own code
 paths: a Taylor-series erf, exact rational binomial sums, closed-form
-integer-shape beta CDFs, and scipy's Cephes-based special functions.
+integer-shape beta CDFs, scipy's Cephes-based special functions, and
+mpmath where it is installed.
 """
 
 import math
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
+from scipy.special import ndtri
 from scipy.stats import beta as scipy_beta_dist
 from scipy.stats import binom as scipy_binom
 from scipy.stats import norm as scipy_norm
@@ -103,6 +104,12 @@ class TestStdNormalCdf:
         with pytest.raises(ValueError):
             std_normal_cdf(bad)
 
+    def test_relative_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in [-37.0 + 45.0 * i / 450 for i in range(451)]:
+                assert abs(std_normal_cdf(x) / mpmath.ncdf(x) - 1) <= 5e-13, x
+
 
 class TestStdNormalQuantile:
     def test_median(self):
@@ -142,19 +149,33 @@ class TestStdNormalQuantile:
 
     @pytest.mark.parametrize("p", [1e-300, 1e-15, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-15])
     def test_relative_accuracy_in_both_tails(self, p):
-        # statistics.NormalDist uses Wichura's AS241, not Cephes ndtri
-        expected = NormalDist().inv_cdf(p)
+        # Cephes ndtri, not the AS241 approximation the implementation uses
+        expected = float(ndtri(p))
         if p == 0.5:
             assert std_normal_quantile(p) == 0.0
         else:
             assert std_normal_quantile(p) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
-    def test_array_input_keeps_shape(self):
-        p = np.array([[1e-9, 0.2, 0.5], [0.6, 0.975, 1 - 1e-9]])
-        out = std_normal_quantile(p)
-        assert isinstance(out, np.ndarray)
-        assert out.shape == p.shape
-        assert out.tolist() == [[std_normal_quantile(float(v)) for v in row] for row in p]
+    def test_relative_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        lower = [10.0 ** -(0.3 + 299.7 * i / 150) for i in range(151)]
+        upper = [1.0 - 10.0 ** -(0.3 + 14.7 * i / 60) for i in range(61)]
+        with mpmath.workdps(60):
+            for p in lower + upper + [0.02 * i for i in range(1, 50)]:
+                # Newton on the CDF from ndtri's start converges to the
+                # exact quantile of the double p.
+                x = mpmath.mpf(float(ndtri(p)))
+                for _ in range(6):
+                    x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+                if x == 0:
+                    assert std_normal_quantile(p) == 0.0
+                else:
+                    assert abs(std_normal_quantile(p) / x - 1) <= 2e-15, p
+
+    @pytest.mark.parametrize("function", [std_normal_quantile, std_normal_cdf])
+    def test_rejects_arrays(self, function):
+        with pytest.raises(TypeError, match=f"{function.__name__} takes a single number, got ndarray"):
+            function(np.array([0.2, 0.6]))
 
 
 def exact_binomial_tail(n: int, p: Fraction, r: int) -> Fraction:

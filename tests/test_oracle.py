@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
-from dualcrit.distributions import BetaParams, binomial_pmf, std_normal_quantile
+from dualcrit.distributions import BetaParams, binomial_pmf
 from dualcrit.oracle import (
     SimulatedOC,
     SimulationConfig,
@@ -38,12 +39,13 @@ def _stream(seed, scenario, n):
 def _full_array_counts(design, effect, cfg):
     """Reference tally over full-size arrays: one decision code per
     replicate from nested ``np.where`` (TTE) or a per-count code table
-    (binary), then one ``bincount``. The oracle gave these counts before it
+    (binary), then one ``bincount``, with the normal draws from Cephes
+    ``ndtri`` on the whole array. The oracle gave these counts before it
     counted chunk by chunk, and must still give them."""
     go, nogo, inconclusive = 0, 1, 2
     u = _stream(cfg.seed, cfg.scenario, cfg.n_replicates)
     if isinstance(design, DualCriterionTTEDesign):
-        z = std_normal_quantile(np.maximum(u, np.finfo(float).tiny))
+        z = ndtri(np.maximum(u, np.finfo(float).tiny))
         s = design.sigma / math.sqrt(design.n_events)
         hr = np.exp(math.log(effect) + s * z)
         significant = hr <= design.significance_threshold

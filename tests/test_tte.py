@@ -7,9 +7,9 @@ forms by a separate special-function implementation.
 
 import math
 import random
-from statistics import NormalDist
 
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm as scipy_norm
 
 from dualcrit.outcomes import DecisionTag
@@ -187,9 +187,9 @@ class TestDualOperatingCharacteristics:
         # the spacing of doubles near 1
         design = DualCriterionTTEDesign(alpha=0.025, decision_hr=0.8, n_events=420)
         s = 2.0 / math.sqrt(420)
-        t_sig = math.exp(-NormalDist().inv_cdf(0.975) * s)
+        t_sig = math.exp(float(ndtri(0.025)) * s)
         x = (math.log(max(0.8, t_sig)) - math.log(0.3)) / s
-        expected = 0.5 * math.erfc(x / math.sqrt(2.0))
+        expected = float(ndtr(-x))
         assert 1e-26 < expected < 1e-24
         assert oc_dual_tte(design, 0.3).p_nogo == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -345,6 +345,33 @@ class TestInputBounds:
                 call()
 
 
+class TestSmallErrorRates:
+    """Upper quantiles are taken as minus the lower ones, so sizes and
+    thresholds keep full accuracy at a small alpha, where 1 - alpha is
+    rounded."""
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-15, 3e-16])
+    def test_sizes_and_threshold_match_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            z_a = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(alpha))
+            z_b = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(0.1))
+            n_dual = int(mpmath.ceil((2 * z_a / mpmath.log(1 / mpmath.mpf(0.7))) ** 2))
+            n_standard = int(mpmath.ceil((2 * (z_a + z_b) / mpmath.log(2)) ** 2))
+            threshold = float(mpmath.exp(-z_a * 2 / mpmath.sqrt(200)))
+        assert min_events_dual(alpha, 1.0, 0.7) == n_dual
+        assert StandardTTEDesign(alpha=alpha, beta=0.1, alt_hr=0.5).n_events == n_standard
+        assert significance_threshold(alpha, 1.0, 2.0, 200) == pytest.approx(threshold, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("level", [1 - 1e-8, 1 - 1e-12, 1 - 2**-52])
+    def test_precision_factor_matches_mpmath(self, level):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            z = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(level))
+            factor = float(mpmath.exp(z * 2 / mpmath.sqrt(100)))
+        assert implied_precision_factor(2.0, 100, level) == pytest.approx(factor, rel=1e-14, abs=0)
+
+
 class TestStandardOperatingCharacteristics:
     @pytest.mark.parametrize("key,rows", sorted(TABLE_STANDARD.items()))
     def test_published_go_cells(self, key, rows):
@@ -361,9 +388,9 @@ class TestStandardOperatingCharacteristics:
         design = StandardTTEDesign(alpha=0.025, beta=0.1, alt_hr=0.5)
         n = 420
         s = 2.0 / math.sqrt(n)
-        t_sig = math.exp(-NormalDist().inv_cdf(0.975) * s)
+        t_sig = math.exp(float(ndtri(0.025)) * s)
         x = (math.log(t_sig) - math.log(0.3)) / s
-        expected = 0.5 * math.erfc(x / math.sqrt(2.0))
+        expected = float(ndtr(-x))
         assert expected < 1e-20
         assert oc_standard_tte(design, 2.0, n, 0.3).p_nogo == pytest.approx(
             expected, rel=1e-12, abs=0.0
