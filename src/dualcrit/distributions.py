@@ -7,8 +7,8 @@ Only the three families the designs need; this is not a general
 distribution library.
 
 Everything here takes and returns scalars and runs on the standard
-library, so no design calculation loads numpy or scipy; the simulation
-oracle is the only code that works on arrays.
+library, so no design calculation loads numpy; the simulation oracle is
+the only code that works on arrays.
 
 All functions are pure and safe to call concurrently.
 """

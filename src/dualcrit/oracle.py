@@ -7,12 +7,15 @@ integers, so results are bit-identical for a given seed no matter how the
 chunks are executed or in what order the counts are reduced, and the
 arrays held at any time are O(chunk), not O(replicates).
 
-Normal draws are inverted with scipy's Cephes ``ndtri``, an implementation
-independent of the AS241 quantile the analytic formulas use, so comparing
-the two also cross-checks the quantiles. This is the only module that
-imports numpy or scipy, and only in the functions that draw and count, so
-importing it for ``SimulationConfig`` or ``monte_carlo_limit`` loads
-neither.
+Each chunk hands its decision rule the keyed generator, and the rule draws
+what its model needs. A time-to-event replicate is one standard normal from
+numpy's ziggurat sampler (``Generator.standard_normal``), with no quantile
+transform, so the simulated side shares no normal code with the AS241
+quantile the analytic formulas use. A binary replicate is one uniform,
+inverted through the binomial CDF. The counts therefore depend on numpy's
+``Generator`` algorithms as well as on the seed. This is the only module
+that imports numpy, and only in the functions that draw and count, so
+importing it for ``SimulationConfig`` or ``monte_carlo_limit`` does not.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ if TYPE_CHECKING:
 # Replicates per keyed stream; fixed so that the replicate -> stream map
 # never depends on how work is scheduled.
 _CHUNK = 8192
+# The chunk index fills the low 32 bits of the second key word, under the
+# scenario; more chunks than that would read the next scenario's streams.
+_MAX_REPLICATES = _CHUNK * 2**32
 
 
 def _key_word(value, name: str, bits: int) -> int:
@@ -54,7 +60,13 @@ class SimulationConfig:
 
     def __post_init__(self):
         # Stored as int, so that an integral float keys the same stream.
-        object.__setattr__(self, "n_replicates", check_count(self.n_replicates, "n_replicates"))
+        n = check_count(self.n_replicates, "n_replicates")
+        if n > _MAX_REPLICATES:
+            raise ValueError(
+                f"n_replicates must be at most {_CHUNK} * 2**32, one keyed stream per "
+                f"{_CHUNK}-replicate chunk, got {n}"
+            )
+        object.__setattr__(self, "n_replicates", n)
         object.__setattr__(self, "seed", _key_word(self.seed, "seed", 64))
         object.__setattr__(self, "scenario", _key_word(self.scenario, "scenario", 32))
 
@@ -73,28 +85,28 @@ class SimulatedOC:
             raise ValueError("category counts must partition the replicates")
 
 
-def _keyed_chunks(seed: int, scenario: int, n: int) -> Iterator[np.ndarray]:
-    """The uniforms of n replicates, one chunk at a time: chunk c holds
-    replicates [c * _CHUNK, (c + 1) * _CHUNK) and draws them from the Philox
-    stream keyed by (seed, scenario << 32 | c)."""
+def _keyed_chunks(seed: int, scenario: int, n: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """n replicates, one chunk at a time: chunk c holds replicates
+    [c * _CHUNK, (c + 1) * _CHUNK), drawn from the Philox stream keyed by
+    (seed, scenario << 32 | c). Yields each chunk's generator and size."""
     import numpy as np
 
     for chunk, lo in enumerate(range(0, n, _CHUNK)):
         key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
-        yield np.random.Generator(np.random.Philox(key=key)).random(min(_CHUNK, n - lo))
+        yield np.random.Generator(np.random.Philox(key=key)), min(_CHUNK, n - lo)
 
 
 def _tally(
     true_effect: float,
-    decide: Callable[[np.ndarray], tuple[int, int]],
+    decide: Callable[[np.random.Generator, int], tuple[int, int]],
     cfg: SimulationConfig,
 ) -> SimulatedOC:
     """Add up the (GO, NO-GO) counts ``decide`` gives for each chunk's
-    uniforms; the remaining replicates are inconclusive."""
+    generator and size; the remaining replicates are inconclusive."""
     n = cfg.n_replicates
     n_go = n_nogo = 0
-    for u in _keyed_chunks(cfg.seed, cfg.scenario, n):
-        go, nogo = decide(u)
+    for gen, size in _keyed_chunks(cfg.seed, cfg.scenario, n):
+        go, nogo = decide(gen, size)
         n_go += go
         n_nogo += nogo
     counts = (n_go, n_nogo, n - n_go - n_nogo)
@@ -112,25 +124,18 @@ def _tally(
 def simulate_tte_oc(
     design: DualCriterionTTEDesign, true_hr: float, cfg: SimulationConfig
 ) -> SimulatedOC:
-    """Draw HR estimates from the log-normal sampling model and tabulate
-    the decisions they trigger.
+    """Draw HR estimates from the log-normal sampling model, one standard
+    normal per replicate, and tabulate the decisions they trigger.
     """
     import numpy as np
-    from scipy.special import ndtri
 
     if not true_hr > 0.0:
         raise ValueError(f"true_hr must be positive, got {true_hr}")
-    tiny = np.finfo(float).tiny
     s = design.sigma / math.sqrt(design.n_events)
     significance_hr = design.significance_threshold
 
-    def decide(u):
-        # The quantile transform needs open-interval inputs.
-        np.maximum(u, tiny, out=u)
-        if not (u.min() > 0.0 and u.max() < 1.0):
-            raise ValueError("the normal quantile requires uniforms in (0, 1)")
-        z = ndtri(u)
-        hr = np.exp(math.log(true_hr) + s * z)
+    def decide(gen, size):
+        hr = np.exp(math.log(true_hr) + s * gen.standard_normal(size))
         significant = hr <= significance_hr
         relevant = hr <= design.decision_hr
         return (
@@ -166,10 +171,11 @@ def simulate_binary_oc(
         nogo = np.array([t is DecisionTag.NOGO for t in tags])
     cdf = np.cumsum([binomial_pmf(n_trials, true_orr, k) for k in range(n_trials + 1)])
 
-    def decide(u):
+    def decide(gen, size):
         # A replicate draws at most k responders when u < cdf[k]; n takes
         # every u above the rounded CDF's last entry. Sorting the chunk
         # turns that into one binary search per count, not per replicate.
+        u = gen.random(size)
         u.sort()
         at_most = np.searchsorted(u, cdf[:-1])
         by_count = np.diff(at_most, prepend=0, append=u.size)

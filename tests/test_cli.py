@@ -476,6 +476,15 @@ class TestVerify:
         assert result.stderr.startswith("error: seed")
         assert "Traceback" not in result.stderr
 
+    def test_replicates_beyond_one_stream_per_chunk_index_rejected(self, capsys):
+        # chunk indices past 2**32 would read the next scenario's streams
+        code, out, err = run(
+            capsys, "verify", "--config", TTE_CONFIGS[0], "--reps", str(8192 * 2**32 + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_replicates must be at most 8192 * 2**32")
+
     def test_negative_control_on_tte_dual(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--config", TTE_CONFIGS[0],
@@ -483,6 +492,33 @@ class TestVerify:
         )
         assert code == 4
         assert "verification FAILED" in out
+
+
+# Every config that verify supports: the TTE dual designs and the binary
+# dual and three-outcome designs. None sets a seed or replicates.
+VERIFY_CONFIGS = [
+    *TTE_CONFIGS[:2],
+    str(CONFIGS / "oc_curve_n309.cfg"),
+    str(CONFIGS / "oc_curve_n420.cfg"),
+    *BINARY_CONFIGS,
+]
+
+
+class TestVerifyGateOnConfigs:
+    """The gate at the inputs users run: each config at its default seed and
+    replicates passes, and each negative control fails."""
+
+    def test_verify_configs_are_every_config_that_verify_supports(self, capsys):
+        for path in sorted(CONFIGS.glob("*.cfg")):
+            code, _, err = run(capsys, "verify", "--config", str(path), "--reps", "1000")
+            assert (str(path) in VERIFY_CONFIGS) == (code != 2), (path, err)
+
+    @pytest.mark.parametrize("path", VERIFY_CONFIGS, ids=lambda p: Path(p).stem)
+    def test_passes_honest_and_fails_corrupted_boundaries(self, capsys, path):
+        for delta, expected in (("0", 0), ("1", 4), ("-1", 4)):
+            code, out, err = run(capsys, "verify", "--config", path, "--corrupt-go-boundary", delta)
+            assert (code, err) == (expected, ""), (delta, out)
+            assert "(seed=42, reps=100000)" in out
 
 
 NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
@@ -720,10 +756,10 @@ THREE_OUTCOME = BINARY_CONFIGS[2]
 
 
 class TestImportBoundary:
-    """numpy and scipy load only in the oracle, the one code that computes
-    on arrays: ``size``, ``oc``, ``decide`` and ``compare`` run on the
-    standard library for every design, binary ``verify`` needs numpy, and
-    TTE ``verify`` also needs scipy's ndtri."""
+    """numpy loads only in the oracle, the one code that computes on arrays:
+    ``size``, ``oc``, ``decide`` and ``compare`` run on the standard library
+    for every design, ``verify`` needs numpy, and no command loads scipy,
+    which is a test reference, not a runtime dependency."""
 
     @pytest.mark.parametrize(
         "argv,loaded",
@@ -767,11 +803,13 @@ class TestImportBoundary:
             pytest.param(("compare", *(x for p in TTE_CONFIGS for x in ("--config", p))), (),
                          id="compare-tte"),
             pytest.param(("verify", "--config", TTE_CONFIGS[0], "--seed", "7", "--reps", "20000"),
-                         ("numpy", "scipy"), id="verify-tte"),
+                         ("numpy",), id="verify-tte"),
         ],
     )
     def test_modules_loaded_at_exit(self, tmp_path, argv, loaded):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         result = run_module(*argv, python_args=("-c", LOADED_PROBE))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1].split() == ["loaded:", *loaded]
+        modules = result.stdout.splitlines()[-1].split()
+        assert "scipy" not in modules
+        assert modules == ["loaded:", *loaded]

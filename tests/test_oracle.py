@@ -3,10 +3,12 @@ with the analytic operating characteristics."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
 from dualcrit.distributions import BetaParams, binomial_pmf
@@ -20,7 +22,7 @@ from dualcrit.oracle import (
 )
 from dualcrit.outcomes import DecisionTag
 from dualcrit.three_outcome import ThreeOutcomeDesign
-from dualcrit.tte import DualCriterionTTEDesign, oc_dual_tte
+from dualcrit.tte import DualCriterionTTEDesign, min_events_dual, oc_dual_tte
 
 TTE_DESIGN = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, n_events=70)
 BINARY_DESIGN = DualCriterionBinaryDesign(
@@ -31,21 +33,20 @@ THREE_OUTCOME = ThreeOutcomeDesign(
 )
 
 
-def _stream(seed, scenario, n):
-    """All n uniforms of a scenario, the keyed chunks laid end to end."""
-    return np.concatenate(list(_keyed_chunks(seed, scenario, n)))
+def _stream(seed, scenario, n, draw="random"):
+    """All n draws of a scenario, the keyed chunks laid end to end; ``draw``
+    names the ``Generator`` method each chunk draws with."""
+    return np.concatenate([getattr(gen, draw)(size) for gen, size in _keyed_chunks(seed, scenario, n)])
 
 
 def _full_array_counts(design, effect, cfg):
     """Reference tally over full-size arrays: one decision code per
     replicate from nested ``np.where`` (TTE) or a per-count code table
-    (binary), then one ``bincount``, with the normal draws from Cephes
-    ``ndtri`` on the whole array. The oracle gave these counts before it
-    counted chunk by chunk, and must still give them."""
+    (binary), then one ``bincount``. TTE replicates take one standard
+    normal each, binary replicates one uniform, from the keyed streams."""
     go, nogo, inconclusive = 0, 1, 2
-    u = _stream(cfg.seed, cfg.scenario, cfg.n_replicates)
     if isinstance(design, DualCriterionTTEDesign):
-        z = ndtri(np.maximum(u, np.finfo(float).tiny))
+        z = _stream(cfg.seed, cfg.scenario, cfg.n_replicates, "standard_normal")
         s = design.sigma / math.sqrt(design.n_events)
         hr = np.exp(math.log(effect) + s * z)
         significant = hr <= design.significance_threshold
@@ -68,6 +69,7 @@ def _full_array_counts(design, effect, cfg):
                  for t in tags]
             )
         cdf = np.cumsum([binomial_pmf(n_trials, effect, k) for k in range(n_trials + 1)])
+        u = _stream(cfg.seed, cfg.scenario, cfg.n_replicates)
         draws = np.minimum(np.searchsorted(cdf, u, side="right"), n_trials)
         codes = codes_by_r[draws]
     return tuple(int(c) for c in np.bincount(codes, minlength=3))
@@ -100,6 +102,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SimulationConfig(**{"seed": 1, field: value})
 
+    def test_rejects_replicates_beyond_one_stream_per_chunk_index(self):
+        # chunk indices fill 32 bits under the scenario: one replicate more
+        # would read the next scenario's first stream, and at the last
+        # scenario overflow the 64-bit key word
+        assert SimulationConfig(seed=1, n_replicates=8192 * 2**32).n_replicates == 2**45
+        with pytest.raises(ValueError, match=r"^n_replicates must be at most 8192 \* 2\*\*32"):
+            SimulationConfig(seed=1, n_replicates=8192 * 2**32 + 1)
+
     def test_integral_floats_key_the_same_stream(self):
         as_float = SimulationConfig(seed=3.0, n_replicates=2000.0, scenario=2.0)
         assert as_float == SimulationConfig(seed=3, n_replicates=2000, scenario=2)
@@ -122,16 +132,17 @@ class TestKeyedStreams:
         b = _stream(42, 3, 50_000)
         assert np.array_equal(a, b)
 
-    def test_chunks_are_independent_of_assembly_order(self):
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    def test_chunks_are_independent_of_assembly_order(self, draw):
         # each fixed-size chunk is its own keyed stream, so any slice can
         # be regenerated in isolation, in any order
-        full = _stream(7, 2, 30_000)
+        full = _stream(7, 2, 30_000, draw)
         for chunk_index in (3, 0, 2, 1):
             lo = chunk_index * 8192
             hi = min(30_000, lo + 8192)
             key = np.array([7, (2 << 32) | chunk_index], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
-            assert np.array_equal(full[lo:hi], gen.random(hi - lo))
+            assert np.array_equal(full[lo:hi], getattr(gen, draw)(hi - lo))
 
     def test_streams_differ_across_seed_and_scenario(self):
         base = _stream(42, 0, 4096)
@@ -149,13 +160,13 @@ class TestSimulateTTE:
     @pytest.mark.parametrize(
         "alpha,decision_hr,n_events,seed,scenario,true_hr,counts",
         [
-            (0.025, 0.8, 420, 5, 0, 0.8, (49919, 37282, 12799)),
-            (0.1, 0.7, 150, 20240611, 3, 0.65, (67551, 8688, 23761)),
+            (0.025, 0.8, 420, 5, 0, 0.8, (49978, 37281, 12741)),
+            (0.1, 0.7, 150, 20240611, 3, 0.65, (67479, 8778, 23743)),
         ],
     )
     def test_counts_pinned(self, alpha, decision_hr, n_events, seed, scenario, true_hr, counts):
-        # fixed values from the stream layout and decision rule; any change
-        # to either, or to the inverse CDF beyond rounding, moves them
+        # fixed values from the stream layout, the decision rule and numpy's
+        # normal sampler; a change to any of them moves them
         design = DualCriterionTTEDesign(alpha=alpha, decision_hr=decision_hr, n_events=n_events)
         cfg = SimulationConfig(seed=seed, scenario=scenario)
         assert simulate_tte_oc(design, true_hr, cfg).counts == counts
@@ -183,6 +194,42 @@ class TestSimulateTTE:
     def test_rejects_bad_true_hr(self):
         with pytest.raises(ValueError):
             simulate_tte_oc(TTE_DESIGN, 0.0, SimulationConfig(seed=1, n_replicates=1000))
+
+
+# Bernstein's inequality for a sum of n Bernoulli(p) replicates,
+# P(|count - n p| >= t) <= 2 exp(-t**2 / (2 (n p (1 - p) + t / 3))), solved
+# for the t at which the bound is 1e-9.
+BERNSTEIN_LOG = math.log(2 / 1e-9)
+
+
+def bernstein_limit(n, p):
+    third = BERNSTEIN_LOG / 3
+    return third + math.sqrt(third**2 + 2 * BERNSTEIN_LOG * n * p * (1 - p))
+
+
+@st.composite
+def tte_dual_designs(draw):
+    alpha = draw(st.floats(0.005, 0.3))
+    decision_hr = draw(st.floats(0.3, 0.95))
+    n_min = min_events_dual(alpha, 1.0, decision_hr)
+    # About half the sizes fall below n_min, where relevant-but-not-
+    # significant estimates are possible and the design warns.
+    n_events = draw(st.integers(1, 2 * n_min))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return DualCriterionTTEDesign(alpha=alpha, decision_hr=decision_hr, n_events=n_events)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(tte_dual_designs(), st.floats(0.3, 1.5), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_tte_counts_within_a_bernstein_limit_of_the_analytic_oc(design, true_hr, seed, scenario):
+    # 300 cells at 1e-9 each: a correct oracle fails with probability below
+    # 3e-7. A sampler whose spread is 3 % too wide, or whose log-HR mean is
+    # 0.02 off, fails it.
+    n = 100_000
+    sim = simulate_tte_oc(design, true_hr, SimulationConfig(seed=seed, n_replicates=n, scenario=scenario))
+    for count, p in zip(sim.counts, oc_dual_tte(design, true_hr).probs):
+        assert abs(count - n * p) <= bernstein_limit(n, p), (sim.counts, p)
 
 
 class TestSimulateBinary:
