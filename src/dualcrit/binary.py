@@ -8,16 +8,18 @@ Beta prior. GO requires both criteria at the final analysis:
 * clinical: posterior median ORR reaches ``decision_orr``.
 
 Both criteria are monotone in the responder count, so each has a smallest
-qualifying count; the gap between the two boundaries is the inconclusive
-zone. Rates are proportions throughout (0.075, never 7.5).
+qualifying count, found by ``outcomes.first_true``; the gap between the
+two boundaries is the inconclusive zone. Rates are proportions throughout
+(0.075, never 7.5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .distributions import BetaParams, beta_cdf, beta_quantile, check_count, check_open_probability
-from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics
+from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 1000
 
@@ -43,6 +45,15 @@ class DualCriterionBinaryDesign:
         _check_criteria(self.null_orr, self.sig_prob, self.decision_orr)
         check_count(self.n, "n")
 
+    @cached_property
+    def cut_rule(self) -> CutRule:
+        """The decision as cut points on the responder count: GO at r >= hi,
+        NO-GO at r < lo. A boundary the design never reaches is n + 1.
+        """
+        boundaries = (statistical_boundary(self), clinical_boundary(self))
+        stat, clin = (self.n + 1 if r is None else r for r in boundaries)
+        return CutRule(min(stat, clin), max(stat, clin), n=self.n)
+
 
 @dataclass(frozen=True)
 class PosteriorSummary:
@@ -62,8 +73,9 @@ def prior_from_mean(mean: float, b: float = 1.0) -> BetaParams:
 
 
 def _check_responders(design: DualCriterionBinaryDesign, r: int) -> int:
-    if r != int(r) or not 0 <= r <= design.n:
-        raise ValueError(f"responder count must lie in [0, {design.n}], got {r}")
+    # The range check comes first: int() of an infinity or a NaN raises.
+    if not 0 <= r <= design.n or r != int(r):
+        raise ValueError(f"responder count must be an integer in [0, {design.n}], got {r}")
     return int(r)
 
 
@@ -92,34 +104,25 @@ def posterior_summary(design: DualCriterionBinaryDesign, r: int) -> PosteriorSum
     )
 
 
+def _smallest(design: DualCriterionBinaryDesign, criterion) -> int | None:
+    """Smallest r in [0, n] meeting ``criterion(n, r)``; None if none does."""
+    r = first_true(partial(criterion, design.n), 0, design.n)
+    return None if r > design.n else r
+
+
 def statistical_boundary(design: DualCriterionBinaryDesign) -> int | None:
     """Smallest responder count meeting the statistical criterion alone."""
-    for r in range(design.n + 1):
-        if _significant(design.prior, design.null_orr, design.sig_prob, design.n, r):
-            return r
-    return None
+    return _smallest(design, partial(_significant, design.prior, design.null_orr, design.sig_prob))
 
 
 def clinical_boundary(design: DualCriterionBinaryDesign) -> int | None:
     """Smallest responder count meeting the clinical criterion alone."""
-    for r in range(design.n + 1):
-        if _relevant(design.prior, design.decision_orr, design.n, r):
-            return r
-    return None
-
-
-def cut_rule(design: DualCriterionBinaryDesign) -> CutRule:
-    """The decision as cut points on the responder count: GO at r >= hi,
-    NO-GO at r < lo. A boundary the design never reaches is n + 1.
-    """
-    boundaries = (statistical_boundary(design), clinical_boundary(design))
-    stat, clin = (design.n + 1 if r is None else r for r in boundaries)
-    return CutRule(min(stat, clin), max(stat, clin), n=design.n)
+    return _smallest(design, partial(_relevant, design.prior, design.decision_orr))
 
 
 def min_responders(design: DualCriterionBinaryDesign) -> int | None:
     """Smallest responder count meeting both criteria; None if unreachable."""
-    hi = cut_rule(design).hi
+    hi = design.cut_rule.hi
     return None if hi > design.n else hi
 
 
@@ -155,13 +158,9 @@ def min_sample_size_grid(
     for n in range(1, n_max + 1):
         # The clinical boundary never decreases as n grows (extra
         # non-responders only pull the posterior down), so resume the
-        # scan from the previous boundary.
-        r_clin = None
-        for r in range(r_start, n + 1):
-            if _relevant(prior, decision_orr, n, r):
-                r_clin = r
-                break
-        if r_clin is None:
+        # search from the previous boundary.
+        r_clin = first_true(partial(_relevant, prior, decision_orr, n), r_start, n)
+        if r_clin > n:
             last_failure = n
             continue
         r_start = r_clin
@@ -176,4 +175,4 @@ def min_sample_size_grid(
 
 def oc_binary(design: DualCriterionBinaryDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact operating characteristics under a true response rate."""
-    return cut_rule(design).oc(true_orr)
+    return design.cut_rule.oc(true_orr)

@@ -23,7 +23,7 @@ from .config import (
     parse_value,
     resolve_design,
 )
-from .oracle import SimulationConfig, monte_carlo_limit
+from .oracle import SimulationConfig, monte_carlo_cells
 from .outcomes import InfeasibleDesignError, OperatingCharacteristics
 from .tables import CSV_OC_HEADER, ResultTable, fmt3, render_tables, write_csv
 
@@ -160,9 +160,9 @@ def _caption(rd: ResolvedDesign) -> str:
 
 def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteristics]]:
     grid = _require_grid(rd)
-    if rd.entry.cuts is None:
+    rule = getattr(rd.design, "cut_rule", None)
+    if rule is None:
         raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
-    rule = rd.entry.cuts(rd.design)
     table = ResultTable(
         caption=_caption(rd),
         headers=[rd.entry.effect, "p_go", "p_nogo", "p_inconclusive"],
@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
         )
     if rd.entry.simulate is None:
         raise ConfigError(f"verify is not defined for {rd.kind} designs")
-    rule = rd.entry.cuts(rd.design).shifted(args.corrupt_go_boundary)
+    rule = rd.design.cut_rule.shifted(args.corrupt_go_boundary)
 
     table = ResultTable(
         caption=f"verify: {_caption(rd)} (seed={rd.seed}, reps={rd.reps})",
@@ -249,21 +249,17 @@ def cmd_verify(args) -> int:
         sim_cfg = SimulationConfig(seed=rd.seed, n_replicates=rd.reps, scenario=index)
         analytic = rule.oc(true_effect)
         simulated = rd.entry.simulate(rd.design, true_effect, sim_cfg)
-        for name, p, p_hat in zip(
-            ("p_go", "p_nogo", "p_inconclusive"), analytic.probs, simulated.oc.probs
-        ):
-            limit = monte_carlo_limit(p, rd.reps)
-            ok = abs(p - p_hat) <= limit
-            all_pass = all_pass and ok
+        for cell in monte_carlo_cells(analytic, simulated):
+            all_pass = all_pass and cell.passed
             table.add_row(
                 [
                     fmt3(true_effect),
-                    name,
-                    f"{p:.6f}",
-                    f"{p_hat:.6f}",
-                    f"{abs(p - p_hat):.6f}",
-                    f"{limit:.6f}",
-                    "PASS" if ok else "FAIL",
+                    cell.outcome,
+                    f"{cell.analytic:.6f}",
+                    f"{cell.simulated:.6f}",
+                    f"{abs(cell.analytic - cell.simulated):.6f}",
+                    f"{cell.limit:.6f}",
+                    "PASS" if cell.passed else "FAIL",
                 ]
             )
     print(render_tables([table]), end="")

@@ -237,16 +237,15 @@ class DesignEntry:
     ``COMMON_KEYS``; ``build(cfg, require_n)``, which returns the design
     (None when the config leaves the size to ``size``), ``size(cfg,
     design)`` and ``effect``, the true-effect column heading. A capability
-    is None where the kind lacks it: ``cuts``, the design's ``CutRule``
-    (its OC and, shifted, the verify negative control), with its
-    ``caption``; ``decide``, given a CSV path only if ``posterior_csv``;
-    ``simulate`` for verify. Entries call the library through its modules,
-    so a patched module attribute reaches every call.
+    is None where the kind lacks it: ``caption``, the OC table caption of a
+    design with a ``cut_rule``; ``decide``, given a CSV path only if
+    ``posterior_csv``; ``simulate`` for verify. Entries call the library
+    through its modules, so a patched module attribute reaches every call.
     """
 
     effect = "true_hr"
     posterior_csv = False
-    cuts = caption = decide = simulate = None
+    caption = decide = simulate = None
 
 
 class _TTEDual(DesignEntry):
@@ -290,9 +289,6 @@ class _TTEDual(DesignEntry):
             f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
         )
 
-    def cuts(self, d):
-        return tte_mod.dual_cut_rule(d.alpha, d.null_hr, d.decision_hr, d.sigma, d.n_events)
-
     def decide(self, design, observed, csv_path):
         estimate = _observed(observed, float, "an estimated hazard ratio")
         decision = tte_mod.decide_tte(design, estimate)
@@ -328,9 +324,6 @@ class _TTEStandard(DesignEntry):
             f"standard (tte): alpha={fmt_full(d.alpha)}, beta={fmt_full(d.beta)}, "
             f"alt_hr={fmt_full(d.alt_hr)}, n_events={d.n_events}"
         )
-
-    def cuts(self, d):
-        return tte_mod.standard_cut_rule(d)
 
 
 class _TTEPrecision(DesignEntry):
@@ -394,9 +387,6 @@ class _BinaryDual(_Binary):
             f"median >= {fmt_full(design.decision_orr)}",
         )
 
-    def cuts(self, design):
-        return binary_mod.cut_rule(design)
-
 
 class _ThreeOutcome(_Binary):
     keys = ("p0", "p1", "alpha", "beta", "eta", "pi", "n", "r_go", "r_nogo", "n_max")
@@ -429,12 +419,9 @@ class _ThreeOutcome(_Binary):
         r = _observed(observed, int, "a responder count")
         if not 0 <= r <= design.n:
             raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
-        rule = self.cuts(design)
+        rule = design.cut_rule
         outcome = "GO" if r >= rule.hi else "INCONCLUSIVE" if r >= rule.lo else "NO-GO"
         return [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
-
-    def cuts(self, design):
-        return three_mod.cut_rule(design)
 
 
 DESIGNS: dict[tuple[str, str], DesignEntry] = {

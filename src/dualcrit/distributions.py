@@ -122,8 +122,8 @@ def _check_binomial_args(n: int, p: float) -> float:
 def binomial_pmf(n: int, p: float, k: int) -> float:
     """P(R = k) for R ~ Binomial(n, p), evaluated in log space."""
     p = _check_binomial_args(n, p)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
+    if not 0 <= k <= n or k != int(k):
+        raise ValueError(f"k must be an integer in [0, {n}], got {k}")
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -139,8 +139,8 @@ def binomial_tail(n: int, p: float, r: int) -> float:
 
     Accepts r in [0, n+1]; r = 0 gives 1 and r = n+1 gives 0.
     """
-    if not 0 <= r <= n + 1:
-        raise ValueError(f"r must lie in [0, {n + 1}], got {r}")
+    if not 0 <= r <= n + 1 or r != int(r):
+        raise ValueError(f"r must be an integer in [0, {n + 1}], got {r}")
     tail = binomial_cut_probs(n, p, 0, r)[0]
     return 1.0 if r == 0 else tail
 

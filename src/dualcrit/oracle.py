@@ -15,14 +15,14 @@ quantile the analytic formulas use. A binary replicate is one uniform,
 inverted through the binomial CDF. The counts therefore depend on numpy's
 ``Generator`` algorithms as well as on the seed. This is the only module
 that imports numpy, and only in the functions that draw and count, so
-importing it for ``SimulationConfig`` or ``monte_carlo_limit`` does not.
+importing it for ``SimulationConfig`` or ``monte_carlo_cells`` does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign, decide_binary
 from .distributions import binomial_pmf, check_count
@@ -77,7 +77,6 @@ class SimulatedOC:
 
     oc: OperatingCharacteristics
     counts: tuple[int, int, int]
-    std_errors: tuple[float, float, float]
     n_replicates: int
 
     def __post_init__(self):
@@ -110,15 +109,8 @@ def _tally(
         n_go += go
         n_nogo += nogo
     counts = (n_go, n_nogo, n - n_go - n_nogo)
-    probs = tuple(c / n for c in counts)
-    ses = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
-    oc = OperatingCharacteristics(
-        true_effect=true_effect,
-        p_go=probs[0],
-        p_nogo=probs[1],
-        p_inconclusive=probs[2],
-    )
-    return SimulatedOC(oc=oc, counts=counts, std_errors=ses, n_replicates=n)
+    oc = OperatingCharacteristics(true_effect, *(c / n for c in counts))
+    return SimulatedOC(oc=oc, counts=counts, n_replicates=n)
 
 
 def simulate_tte_oc(
@@ -184,20 +176,29 @@ def simulate_binary_oc(
     return _tally(true_orr, decide, cfg)
 
 
-def monte_carlo_limit(p: float, n_replicates: int) -> float:
-    """Largest accepted |analytic - simulated| for one category: 3
-    standard errors of a proportion over n_replicates, taken at the
-    analytic probability p, so an exact zero cell must be reproduced exactly.
+class GateCell(NamedTuple):
+    """One outcome category of the Monte Carlo gate."""
+
+    outcome: str
+    analytic: float
+    simulated: float
+    limit: float
+    passed: bool
+
+
+def monte_carlo_cells(analytic: OperatingCharacteristics, simulated: SimulatedOC) -> list[GateCell]:
+    """The gate for p_go, p_nogo and p_inconclusive in turn. A cell passes
+    when |analytic - simulated| is at most its limit: 3 standard errors of
+    a proportion over the replicates, taken at the analytic probability p,
+    so an exact zero cell must be reproduced exactly.
     """
-    return 3.0 * math.sqrt(p * (1.0 - p) / n_replicates)
+    cells = []
+    for outcome, p, p_hat in zip(("p_go", "p_nogo", "p_inconclusive"), analytic.probs, simulated.oc.probs):
+        limit = 3.0 * math.sqrt(p * (1.0 - p) / simulated.n_replicates)
+        cells.append(GateCell(outcome, p, p_hat, limit, abs(p - p_hat) <= limit))
+    return cells
 
 
 def within_monte_carlo_error(analytic: OperatingCharacteristics, simulated: SimulatedOC) -> bool:
-    """True when every simulated category is within ``monte_carlo_limit``
-    of the analytic probability.
-    """
-    n = simulated.n_replicates
-    return all(
-        abs(p - p_hat) <= monte_carlo_limit(p, n)
-        for p, p_hat in zip(analytic.probs, simulated.oc.probs)
-    )
+    """True when every cell of ``monte_carlo_cells`` passes."""
+    return all(cell.passed for cell in monte_carlo_cells(analytic, simulated))

@@ -1,10 +1,13 @@
-"""Shared decision vocabulary: outcome tags, OC and the cut-point rule."""
+"""Shared decision vocabulary: outcome tags, OC, the cut-point rule and
+the one search that finds every cut point."""
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import Callable
 
 # Called through the module so that a patched attribute reaches every call.
 from . import distributions
@@ -14,6 +17,20 @@ _SIMPLEX_TOL = 1e-9
 
 class InfeasibleDesignError(ValueError):
     """Raised when no design satisfies the requested constraints."""
+
+
+def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest r in [lo, hi] where ``holds``, a predicate that is false
+    and then true, holds; hi + 1 if it never does.
+
+    Probes lo, lo + 1, lo + 3, lo + 7, ... until the predicate holds or hi
+    is passed, then bisects the last stride, so an answer d above lo costs
+    about 2 log2(d) calls and one at lo or lo + 1 costs one or two.
+    """
+    below, probe, stride = lo - 1, lo, 1
+    while probe <= hi and not holds(probe):
+        below, probe, stride = probe, probe + stride, 2 * stride
+    return bisect_left(range(below + 1, min(probe, hi + 1)), True, key=holds) + below + 1
 
 
 class DecisionTag(enum.Enum):

@@ -12,11 +12,11 @@ by four probabilities evaluated at the hypothesized rates p0 < p1:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .distributions import binomial_tails, check_count, check_open_probability
-from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics
+from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 100
 
@@ -60,9 +60,14 @@ class ThreeOutcomeDesign:
         check_count(self.r_go, "r_go")
         _check_constraints(self.p0, self.p1, self.alpha, self.beta, self.eta, self.pi)
 
+    @cached_property
+    def cut_rule(self) -> CutRule:
+        """NO-GO at r <= r_nogo and GO at r >= r_go as cut points on the count."""
+        return CutRule(self.r_nogo + 1, self.r_go, n=self.n)
+
     def constraint_values(self) -> dict[str, float]:
         """Attained values of the four constrained probabilities."""
-        under_p0, under_p1 = (cut_rule(self).oc(p) for p in (self.p0, self.p1))
+        under_p0, under_p1 = (self.cut_rule.oc(p) for p in (self.p0, self.p1))
         return {
             "go_under_p0": under_p0.p_go,
             "nogo_under_p1": under_p1.p_nogo,
@@ -80,46 +85,32 @@ class ThreeOutcomeDesign:
         )
 
 
-def cut_rule(design: ThreeOutcomeDesign) -> CutRule:
-    """NO-GO at r <= r_nogo and GO at r >= r_go as cut points on the count."""
-    return CutRule(design.r_nogo + 1, design.r_go, n=design.n)
-
-
 def three_outcome_oc(design: ThreeOutcomeDesign, true_orr: float) -> OperatingCharacteristics:
     """Exact GO / NO-GO / inconclusive probabilities at a true rate."""
-    return cut_rule(design).oc(true_orr)
+    return design.cut_rule.oc(true_orr)
 
 
 def feasible_pairs(
-    n: int, p0: float, p1: float, alpha: float, beta: float, eta: float, pi: float,
-    min_gap: int = MIN_BOUNDARY_GAP,
+    n: int, p0: float, p1: float, alpha: float, beta: float, eta: float, pi: float
 ) -> list[tuple[int, int]]:
-    """All (r_nogo, r_go) pairs at size n satisfying the four constraints.
-
-    ``min_gap`` is the smallest admissible r_go - r_nogo; pass 1 to also
-    see the degenerate pairs with an empty inconclusive zone.
-    """
-    if min_gap < 1:
-        raise ValueError(f"min_gap must be at least 1, got {min_gap}")
+    """All (r_nogo, r_go) pairs at size n, at least ``MIN_BOUNDARY_GAP``
+    apart, satisfying the four constraints."""
     # Each constraint is monotone in its cut point, so the admissible cut
-    # points are ranges found by bisection, on the parts constraint_values reads.
+    # points are ranges, on the parts constraint_values reads. No GO tail
+    # reaches pi at n + 1, so go_hi is at most n.
     go0, nogo0 = binomial_tails(n, p0)
     go1, nogo1 = binomial_tails(n, p1)
-
-    def first(holds):  # smallest cut point in [0, n + 1] where holds is True
-        return bisect_left(range(n + 2), True, key=holds)
-
-    go_lo = max(min_gap, first(lambda r: go0(r) <= alpha))
-    go_hi = min(n, first(lambda r: go1(r) < pi) - 1)
+    go_lo = first_true(lambda r: go0(r) <= alpha, MIN_BOUNDARY_GAP, n + 1)
+    go_hi = first_true(lambda r: go1(r) < pi, 0, n + 1) - 1
     if go_lo > go_hi:
         return []
     # Cut points c = r_nogo + 1 with NO-GO below them.
-    nogo_lo = max(1, first(lambda c: nogo0(c) >= eta))
-    nogo_hi = first(lambda c: nogo1(c) > beta) - 1
+    nogo_lo = first_true(lambda c: nogo0(c) >= eta, 1, n + 1)
+    nogo_hi = first_true(lambda c: nogo1(c) > beta, 0, n + 1) - 1
     return [
         (c - 1, r_go)
         for r_go in range(go_lo, go_hi + 1)
-        for c in range(nogo_lo, min(nogo_hi, r_go - min_gap + 1) + 1)
+        for c in range(nogo_lo, min(nogo_hi, r_go - MIN_BOUNDARY_GAP + 1) + 1)
     ]
 
 

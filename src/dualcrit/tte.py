@@ -21,6 +21,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .distributions import check_count, std_normal_quantile
 from .outcomes import CutRule, Decision, OperatingCharacteristics
@@ -105,6 +106,11 @@ class DualCriterionTTEDesign:
     def significance_threshold(self) -> float:
         return significance_threshold(self.alpha, self.null_hr, self.sigma, self.n_events)
 
+    @cached_property
+    def cut_rule(self) -> CutRule:
+        """``dual_cut_rule`` at this design's parameters."""
+        return dual_cut_rule(self.alpha, self.null_hr, self.decision_hr, self.sigma, self.n_events)
+
 
 @dataclass(frozen=True)
 class StandardTTEDesign:
@@ -144,6 +150,12 @@ class StandardTTEDesign:
     @property
     def significance_threshold(self) -> float:
         return significance_threshold(self.alpha, self.null_hr, self.sigma, self.n_events)
+
+    @cached_property
+    def cut_rule(self) -> CutRule:
+        """One cut at the significance threshold: GO or NO-GO, never inconclusive."""
+        cut = -math.log(self.significance_threshold)
+        return CutRule(lo=cut, hi=cut, se=self.sigma / math.sqrt(self.n_events))
 
 
 @dataclass(frozen=True)
@@ -251,15 +263,7 @@ def oc_dual_tte(design: DualCriterionTTEDesign, true_hr: float) -> OperatingChar
     both; estimates between the decision value and the significance
     threshold are inconclusive.
     """
-    return dual_cut_rule(
-        design.alpha, design.null_hr, design.decision_hr, design.sigma, design.n_events
-    ).oc(true_hr)
-
-
-def standard_cut_rule(design: StandardTTEDesign) -> CutRule:
-    """A standard design as one cut at the significance threshold."""
-    cut = -math.log(design.significance_threshold)
-    return CutRule(lo=cut, hi=cut, se=design.sigma / math.sqrt(design.n_events))
+    return design.cut_rule.oc(true_hr)
 
 
 def oc_standard_tte(
@@ -267,7 +271,7 @@ def oc_standard_tte(
 ) -> OperatingCharacteristics:
     """Operating characteristics of a standard design (GO or NO-GO only)
     run at the given sigma and event count."""
-    return standard_cut_rule(replace(design, sigma=sigma, n_events=n_events)).oc(true_hr)
+    return replace(design, sigma=sigma, n_events=n_events).cut_rule.oc(true_hr)
 
 
 def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:

@@ -9,7 +9,11 @@ scan for the minimum sample size.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import betaincc, betaincinv
 from scipy.stats import beta as scipy_beta
 
 from dualcrit.binary import (
@@ -23,8 +27,9 @@ from dualcrit.binary import (
     prior_from_mean,
     statistical_boundary,
 )
-from dualcrit.distributions import BetaParams
-from dualcrit.outcomes import DecisionTag, InfeasibleDesignError
+from dualcrit.distributions import BetaParams, binomial_pmf, binomial_tail
+from dualcrit import binary
+from dualcrit.outcomes import DecisionTag, InfeasibleDesignError, first_true
 
 PRIOR = BetaParams(a=0.0811, b=1.0)
 
@@ -151,22 +156,30 @@ class TestGridSearch:
         ]
         assert below, "some size below the minimum must break the implication"
 
-    def test_exhaustive_scan_oracle_at_tighter_significance(self):
-        n_max = 200
-        result = min_sample_size_grid(PRIOR, 0.075, 0.975, 0.175, n_max=n_max)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.floats(0.05, 3.0), st.floats(0.2, 3.0), st.floats(0.02, 0.6),
+        st.floats(0.8, 0.995), st.floats(0.01, 0.35), st.integers(1, 60),
+    )
+    @example(PRIOR.a, PRIOR.b, 0.075, 0.975, 0.1, 200)
+    def test_exhaustive_scan_oracle(self, a, b, null_orr, sig_prob, gap, n_max):
+        decision_orr = null_orr + gap
 
         def implication_holds(n: int) -> bool:
-            for r in range(n + 1):
-                if float(scipy_beta.ppf(0.5, PRIOR.a + r, PRIOR.b + n - r)) >= 0.175:
-                    return float(scipy_beta.sf(0.075, PRIOR.a + r, PRIOR.b + n - r)) >= 0.975
-            return False
+            r = np.arange(n + 1)
+            relevant = betaincinv(a + r, b + n - r, 0.5) >= decision_orr
+            if not relevant.any():
+                return False
+            r_clin = relevant.argmax()
+            return betaincc(a + r_clin, b + n - r_clin, null_orr) >= sig_prob
 
-        expected = next(
-            n
-            for n in range(1, n_max + 1)
-            if all(implication_holds(m) for m in range(n, n_max + 1))
-        )
-        assert result == expected
+        failures = [n for n in range(1, n_max + 1) if not implication_holds(n)]
+        expected = failures[-1] + 1 if failures else 1
+        try:
+            result = min_sample_size_grid(BetaParams(a, b), null_orr, sig_prob, decision_orr, n_max=n_max)
+        except InfeasibleDesignError:
+            result = None
+        assert result == (expected if expected <= n_max else None)
 
     def test_weak_statistical_criterion_needs_single_patient(self):
         assert min_sample_size_grid(PRIOR, 0.075, 0.5, 0.175, n_max=50) == 1
@@ -278,6 +291,16 @@ class TestOperatingCharacteristics:
         for n in (22, 25, 36, 60):
             assert oc_binary(make_design(n), 0.075).p_go <= 0.05
 
+    def test_boundaries_are_searched_once_per_design(self, monkeypatch):
+        searches = []
+        monkeypatch.setattr(binary, "first_true", lambda *args: searches.append(args) or first_true(*args))
+        design = make_design(36)
+        for p in (0.075, 0.175, 0.275):
+            oc_binary(design, p)
+        assert min_responders(design) == 7
+        # One search per criterion, for all of the calls above.
+        assert len(searches) == 2
+
 
 class TestDecide:
     def test_go_at_boundary(self):
@@ -323,3 +346,19 @@ class TestDecide:
             decide_binary(make_design(25), 26)
         with pytest.raises(ValueError):
             decide_binary(make_design(25), -1)
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda value: binomial_pmf(10, 0.5, value), "k"),
+        (lambda value: binomial_tail(10, 0.5, value), "r"),
+        (lambda value: decide_binary(make_design(25), value), "responder count"),
+        (lambda value: posterior_summary(make_design(25), value), "responder count"),
+    ],
+    ids=["binomial_pmf", "binomial_tail", "decide_binary", "posterior_summary"],
+)
+def test_count_that_is_not_whole_and_finite_is_a_value_error_naming_it(call, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, \d+\], got {value}$"):
+        call(value)

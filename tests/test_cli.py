@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour, including the golden table fixtures,
 config round-trips, CSV output, and exit codes."""
 
+import contextlib
 import csv
+import io
+import json
 import math
 import os
 import subprocess
@@ -18,6 +21,7 @@ from dualcrit.config import load_config, parse_value, resolve_design
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 DATA = Path(__file__).resolve().parent / "data"
+CLI_BYTES = Path(__file__).resolve().parent / "cli_bytes.json"
 
 TTE_CONFIGS = [str(CONFIGS / f"randomized_tte_design{i}.cfg") for i in range(1, 6)]
 BINARY_CONFIGS = [str(CONFIGS / f"single_arm_binary_design{i}.cfg") for i in range(1, 4)]
@@ -291,6 +295,35 @@ class TestDecide:
             "--observed", "0.9", "--csv", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+# The commands whose full output ``cli_bytes.json`` pins for every shipped
+# config; verify runs honest and with the GO cut shifted by one.
+PINNED_COMMANDS = (
+    ("size",),
+    ("oc",),
+    ("verify", "--reps", "2000"),
+    ("verify", "--reps", "2000", "--corrupt-go-boundary", "1"),
+)
+
+
+def cli_outputs() -> dict[str, list]:
+    """[exit code, stdout, stderr] of each pinned command on each shipped
+    config, keyed by the command line with the config path relative to
+    the repository."""
+    outputs = {}
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        for command in PINNED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], "--config", str(path), *command[1:]])
+            key = " ".join([command[0], "--config", f"configs/{path.name}", *command[1:]])
+            outputs[key] = [code, out.getvalue(), err.getvalue()]
+    return outputs
+
+
+def test_pinned_outputs_byte_identical():
+    assert cli_outputs() == json.loads(CLI_BYTES.read_text(encoding="utf-8"))
 
 
 class TestCompare:
@@ -813,3 +846,8 @@ class TestImportBoundary:
         modules = result.stdout.splitlines()[-1].split()
         assert "scipy" not in modules
         assert modules == ["loaded:", *loaded]
+
+
+if __name__ == "__main__":
+    # Rewrite the pinned outputs: PYTHONPATH=src python tests/test_cli.py
+    CLI_BYTES.write_text(json.dumps(cli_outputs(), indent=1) + "\n", encoding="utf-8")

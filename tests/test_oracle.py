@@ -121,7 +121,6 @@ class TestConfig:
             SimulatedOC(
                 oc=good.oc,
                 counts=(good.counts[0] + 1, good.counts[1], good.counts[2]),
-                std_errors=good.std_errors,
                 n_replicates=good.n_replicates,
             )
 

@@ -35,7 +35,8 @@ from dualcrit.outcomes import DecisionTag
 from dualcrit.tte import DualCriterionTTEDesign, decide_tte, min_events_dual, oc_dual_tte
 
 PROPERTY = settings(derandomize=True, deadline=None)
-# Every pmf term stays above 1e-300 for these rates and n <= 80.
+# Every pmf term stays above 1e-300 for these rates and n <= 80. Past that
+# a far-tail term may underflow, in the program and in scipy alike.
 RATES = st.floats(0.001, 0.999)
 # A step against the direction larger than rounding.
 MONOTONE_TOL = 1e-12
@@ -49,7 +50,9 @@ def binary_designs(draw):
         null_orr=null_orr,
         sig_prob=draw(st.floats(0.8, 0.99)),
         decision_orr=draw(st.floats(null_orr + 0.01, null_orr + 0.35)),
-        n=draw(st.integers(1, 80)),
+        # Large enough that boundaries lie several doubling strides of the
+        # boundary search away from 0.
+        n=draw(st.integers(1, 300)),
     )
 
 

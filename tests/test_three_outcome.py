@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dualcrit.outcomes import InfeasibleDesignError
 from dualcrit.three_outcome import (
+    MIN_BOUNDARY_GAP,
     ThreeOutcomeDesign,
     feasible_pairs,
     find_three_outcome_design,
@@ -128,8 +129,7 @@ class TestDesignSearch:
         # (4, 5) also satisfies the four constraints at n=27 but leaves
         # an empty inconclusive zone; the search keeps the three-outcome
         # shape, so the published (3, 5) wins.
-        pairs = feasible_pairs(27, min_gap=1, **CONSTRAINTS)
-        assert (4, 5) in pairs and (3, 5) in pairs
+        assert ThreeOutcomeDesign(n=27, r_go=5, r_nogo=4, **CONSTRAINTS).is_feasible()
         assert feasible_pairs(27, **CONSTRAINTS) == [(3, 5)]
 
     def test_identical_hypotheses_rejected(self):
@@ -273,8 +273,8 @@ class TestSearchProperties:
     def test_listed_pairs_are_the_feasible_ones_at_attained_constraints(self, n, p0, gap, data):
         # Constraints set to the probabilities one design attains put every
         # comparison of that design on a tie.
-        r_nogo = data.draw(st.integers(0, n - 1))
-        r_go = data.draw(st.integers(r_nogo + 1, n))
+        r_nogo = data.draw(st.integers(0, n - MIN_BOUNDARY_GAP))
+        r_go = data.draw(st.integers(r_nogo + MIN_BOUNDARY_GAP, n))
         rates = dict(p0=p0, p1=p0 + gap)
         attained = ThreeOutcomeDesign(
             n=n, r_go=r_go, r_nogo=r_nogo, alpha=0.5, beta=0.5, eta=0.5, pi=0.5, **rates
@@ -286,9 +286,9 @@ class TestSearchProperties:
         assume(all(0.0 < value < 1.0 for value in constraints.values()))
         feasible = [
             (rn, rg)
-            for rg in range(1, n + 1)
-            for rn in range(rg)
+            for rg in range(MIN_BOUNDARY_GAP, n + 1)
+            for rn in range(rg - MIN_BOUNDARY_GAP + 1)
             if ThreeOutcomeDesign(n=n, r_go=rg, r_nogo=rn, **constraints).is_feasible()
         ]
         assert (r_nogo, r_go) in feasible
-        assert feasible_pairs(n, min_gap=1, **constraints) == feasible
+        assert feasible_pairs(n, **constraints) == feasible

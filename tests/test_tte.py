@@ -25,7 +25,6 @@ from dualcrit.tte import (
     oc_standard_tte,
     precision_events,
     significance_threshold,
-    standard_cut_rule,
     standard_design_events,
 )
 
@@ -303,7 +302,7 @@ class TestStandardDesignSize:
         for true_hr in (0.5, 0.7, 1.0):
             assert oc_standard_tte(
                 StandardTTEDesign(0.1, 0.1, 0.5), 2.5, 77, true_hr
-            ) == standard_cut_rule(sized).oc(true_hr)
+            ) == sized.cut_rule.oc(true_hr)
 
     @pytest.mark.parametrize("n_events", [10**400, float("inf")])
     def test_rejects_a_size_past_the_float_range(self, n_events):
