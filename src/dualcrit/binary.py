@@ -55,7 +55,7 @@ class DualCriterionBinaryDesign:
         return CutRule(min(stat, clin), max(stat, clin), n=self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosteriorSummary:
     """Conjugate posterior after r responders, with the two decision metrics."""
 
@@ -146,25 +146,40 @@ def min_sample_size_grid(
 ) -> int:
     """Smallest n from which the clinical criterion implies the statistical one.
 
-    Scans every size up to ``n_max`` (discreteness makes the implication
+    Decides every size up to ``n_max`` (discreteness makes the implication
     non-monotone in n, so a first-hit search would be wrong) and returns
     the smallest n such that the implication holds at n and at every
-    larger size up to ``n_max``.
+    larger size up to ``n_max``: the last failing size plus one.
+
+    The sizes are walked from the prior (n = 0) along the clinical
+    boundary R(n), the smallest relevant responder count, with one
+    relevance probe per size. Two orderings of the Beta posterior make
+    this exact:
+
+    * R(n) is R(n - 1) or R(n - 1) + 1. An extra non-responder cannot make
+      a count relevant, and if (n - 1, r) is relevant so is (n, r + 1):
+      the same b, one more a. So R(n) is R(n - 1) when (n, R(n - 1)) is
+      relevant and R(n - 1) + 1 otherwise; n + 1 means out of reach.
+    * A step that adds a responder (one more a) keeps significance, and one
+      that adds a non-responder (one more b) keeps non-significance. Any
+      other step probes once. Out-of-reach sizes come first (R(n) <= n
+      implies R(n + 1) <= n + 1), so the first size within reach probes.
     """
     _check_criteria(null_orr, sig_prob, decision_orr)
     check_count(n_max, "n_max")
     last_failure = 0
-    r_start = 0
+    r_clin = 0 if _relevant(prior, decision_orr, 0, 0) else 1
+    significant = None  # at (n - 1, R(n - 1)); None until within reach
     for n in range(1, n_max + 1):
-        # The clinical boundary never decreases as n grows (extra
-        # non-responders only pull the posterior down), so resume the
-        # search from the previous boundary.
-        r_clin = first_true(partial(_relevant, prior, decision_orr, n), r_start, n)
+        added_responder = not _relevant(prior, decision_orr, n, r_clin)
+        r_clin += added_responder
         if r_clin > n:
             last_failure = n
             continue
-        r_start = r_clin
-        if not _significant(prior, null_orr, sig_prob, n, r_clin):
+        # Inherited when the step matches the verdict; never from None.
+        if significant != added_responder:
+            significant = _significant(prior, null_orr, sig_prob, n, r_clin)
+        if not significant:
             last_failure = n
     if last_failure == n_max:
         raise InfeasibleDesignError(

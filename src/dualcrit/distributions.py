@@ -33,7 +33,7 @@ _MAX_SHAPE = 1e150
 _MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaParams:
     """Shape parameters (a, b) of a Beta distribution, both positive."""
 
@@ -160,8 +160,9 @@ def binomial_cut_probs(n: int, p: float, lo: int, hi: int) -> tuple[float, float
     accuracy instead of flushing to zero as a difference from 1 would.
     """
     p = _check_binomial_args(n, p)
-    if not 0 <= lo <= hi <= n + 1:
-        raise ValueError(f"cut points must satisfy 0 <= lo <= hi <= {n + 1}, got {lo}, {hi}")
+    if not 0 <= lo <= hi <= n + 1 or lo != int(lo) or hi != int(hi):
+        raise ValueError(f"cut points must be whole numbers with 0 <= lo <= hi <= {n + 1}, got {lo}, {hi}")
+    lo, hi = int(lo), int(hi)
     pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
     return _part(pmf[hi:]), _part(pmf[:lo]), _part(pmf[lo:hi])
 

@@ -50,7 +50,7 @@ _CASE_NUMBER = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of applying the dual criterion to an observed result."""
 
@@ -76,7 +76,7 @@ class Decision:
         return self.significant != self.relevant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatingCharacteristics:
     """GO / NO-GO / inconclusive probabilities at one true effect size."""
 
@@ -104,7 +104,8 @@ class CutRule:
     """Cut points lo <= hi on one statistic: GO at or above hi, NO-GO below
     lo, inconclusive between. With ``n`` the statistic is a Binomial(n, p)
     responder count and the cuts are integers in [0, n + 1]; with ``se``
-    instead it is minus the log-HR estimate, Normal(-log HR, se).
+    instead it is minus the log-HR estimate, Normal(-log HR, se). A rule
+    whose cuts break these conditions is a ValueError when it is built.
     """
 
     lo: float
@@ -115,6 +116,14 @@ class CutRule:
     def __post_init__(self):
         if (self.n is None) == (self.se is None):
             raise ValueError("a cut rule needs exactly one of n and se")
+        # A NaN cut fails this comparison too.
+        if not self.lo <= self.hi:
+            raise ValueError(f"cut lo must not exceed cut hi, got lo={self.lo}, hi={self.hi}")
+        if self.n is not None:
+            for name in ("lo", "hi"):
+                cut = getattr(self, name)
+                if not 0 <= cut <= self.n + 1 or cut != int(cut):
+                    raise ValueError(f"cut {name} must be a whole number in [0, {self.n + 1}], got {cut}")
 
     def oc(self, true_effect: float) -> OperatingCharacteristics:
         """Outcome probabilities at a true response rate or hazard ratio."""

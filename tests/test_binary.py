@@ -27,7 +27,7 @@ from dualcrit.binary import (
     prior_from_mean,
     statistical_boundary,
 )
-from dualcrit.distributions import BetaParams, binomial_pmf, binomial_tail
+from dualcrit.distributions import BetaParams, beta_cdf, binomial_pmf, binomial_tail
 from dualcrit import binary
 from dualcrit.outcomes import DecisionTag, InfeasibleDesignError, first_true
 
@@ -162,6 +162,11 @@ class TestGridSearch:
         st.floats(0.8, 0.995), st.floats(0.01, 0.35), st.integers(1, 60),
     )
     @example(PRIOR.a, PRIOR.b, 0.075, 0.975, 0.1, 200)
+    # Prior b = 5, with the clinical boundary out of reach at the smallest
+    # sizes: significance there is unknown, not failed (the first gives 3).
+    @example(1.9399, 5.0, 0.1989, 0.9, 0.2485, 50)
+    @example(0.3375, 5.0, 0.0989, 0.842, 0.3383, 32)
+    @example(1.0852, 5.0, 0.3593, 0.914, 0.3174, 48)
     def test_exhaustive_scan_oracle(self, a, b, null_orr, sig_prob, gap, n_max):
         decision_orr = null_orr + gap
 
@@ -180,6 +185,34 @@ class TestGridSearch:
         except InfeasibleDesignError:
             result = None
         assert result == (expected if expected <= n_max else None)
+
+    def test_paper_design_probes_the_posterior_once_or_twice_per_size(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(binary, "beta_cdf", lambda *args: calls.append(args) or beta_cdf(*args))
+        assert min_sample_size_grid(PRIOR, 0.075, 0.95, 0.175, n_max=1000) == 22
+        # One relevance probe per size from n = 0, and a significance probe
+        # only where neither ordering decides it.
+        assert len(calls) == 1822 <= 2 * 1000 + 1
+
+    @pytest.mark.parametrize(
+        "prior,null_orr,sig_prob,decision_orr",
+        [(PRIOR, 0.075, 0.95, 0.175), (BetaParams(1.9399, 5.0), 0.1989, 0.9, 0.4474),
+         (BetaParams(1.0, 1.0), 0.2, 0.9, 0.35), (BetaParams(0.5, 2.0), 0.1, 0.975, 0.2),
+         (BetaParams(3.0, 5.0), 0.3, 0.8, 0.45), (PRIOR, 0.075, 0.999999, 0.076)],
+    )
+    def test_walk_matches_a_per_size_boundary_scan(self, prior, null_orr, sig_prob, decision_orr):
+        def implication_holds(n: int) -> bool:
+            design = DualCriterionBinaryDesign(prior, null_orr, sig_prob, decision_orr, n)
+            clin, stat = clinical_boundary(design), statistical_boundary(design)
+            return clin is not None and stat is not None and stat <= clin
+
+        failures = [n for n in range(1, 201) if not implication_holds(n)]
+        expected = failures[-1] + 1 if failures else 1
+        try:
+            result = min_sample_size_grid(prior, null_orr, sig_prob, decision_orr, n_max=200)
+        except InfeasibleDesignError:
+            result = None
+        assert result == (expected if expected <= 200 else None)
 
     def test_weak_statistical_criterion_needs_single_patient(self):
         assert min_sample_size_grid(PRIOR, 0.075, 0.5, 0.175, n_max=50) == 1
