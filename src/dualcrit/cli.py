@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .config import (
     ConfigError,
@@ -20,7 +21,6 @@ from .config import (
     apply_overrides,
     dump_config,
     load_config,
-    parse_value,
     resolve_design,
 )
 from .oracle import SimulationConfig, monte_carlo_cells
@@ -33,6 +33,8 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
 
 MIN_REPORTED_REPLICATES = 1000
+# Options that are shorthands for --set KEY=VALUE, with their metavars.
+SET_SHORTHANDS = {"grid": "V1,V2,...", "seed": "N", "reps": "N"}
 
 
 class _StoreOnce(argparse.Action):
@@ -73,11 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        sp.add_argument(
-            "--grid", action=_StoreOnce, metavar="V1,V2,...", help="true-effect grid override"
-        )
-        sp.add_argument("--seed", action=_StoreOnce, type=int, metavar="N")
-        sp.add_argument("--reps", action=_StoreOnce, type=int, metavar="N")
+        for key, metavar in SET_SHORTHANDS.items():
+            sp.add_argument(f"--{key}", action=_StoreOnce, metavar=metavar, help=f"--set {key}={metavar}")
         if not multi_config:
             sp.add_argument(
                 "--dump-config",
@@ -135,14 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args, path: str) -> dict:
-    cfg = load_config(path)
-    cfg = apply_overrides(cfg, args.set)
-    if getattr(args, "grid", None):
-        cfg["grid"] = parse_value("grid", args.grid)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg["reps"] = args.reps
+    shorthands = [f"{key}={value}" for key in SET_SHORTHANDS if (value := getattr(args, key)) is not None]
+    cfg = apply_overrides(load_config(path), args.set + shorthands)
     if getattr(args, "dump_config", None):
         dump_config(cfg, args.dump_config)
     return cfg
@@ -175,7 +168,7 @@ def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteri
 
 def cmd_size(args) -> int:
     cfg = _effective_config(args, args.config)
-    rd = resolve_design(cfg, require_n=False)
+    rd = resolve_design(cfg)
     print("\n".join(rd.entry.size(cfg, rd.design)))
     return EXIT_OK
 
@@ -270,14 +263,17 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except InfeasibleDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    # Under the filters in force, a warning is one line without its source.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except InfeasibleDesignError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except (ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

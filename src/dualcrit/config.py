@@ -2,8 +2,8 @@
 
 One key per line, ``#`` starts a comment line, values are numbers,
 identifiers, or a comma-separated list for ``grid``. Keys are the design
-field names and each may appear once; command-line overrides replace file
-values before a design is built. Rates are proportions (0.075, never 7.5).
+field names and each may appear once in the file and once among the
+overrides, which replace file values. Rates are proportions (0.075, never 7.5).
 
 ``DESIGNS`` maps each (endpoint, design_kind) pair to the one object that
 builds its design from a config and provides what the commands do with it.
@@ -134,14 +134,18 @@ def load_config(path: str | Path) -> dict:
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
-    """Apply ``key=value`` override strings on top of a parsed config."""
-    out = dict(cfg)
+    """Apply ``key=value`` override strings on top of a parsed config; a
+    key may be overridden once."""
+    overrides = {}
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
-        out[key.strip()] = parse_value(key.strip(), value)
-    return out
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"{key!r} may be overridden only once")
+        overrides[key] = parse_value(key, value)
+    return {**cfg, **overrides}
 
 
 def _format_value(key: str, value) -> str:
@@ -234,9 +238,9 @@ class DesignEntry:
     """What one (endpoint, design_kind) pair provides to the commands.
 
     Every entry has ``keys``, the config keys it reads beyond
-    ``COMMON_KEYS``; ``build(cfg, require_n)``, which returns the design
-    (None when the config leaves the size to ``size``), ``size(cfg,
-    design)`` and ``effect``, the true-effect column heading. A capability
+    ``COMMON_KEYS``; ``build(cfg)``, which returns the design, at its
+    derived size when the config gives none; ``size(cfg, design)`` and
+    ``effect``, the true-effect column heading. A capability
     is None where the kind lacks it: ``caption``, the OC table caption of a
     design with a ``cut_rule``; ``decide``, given a CSV path only if
     ``posterior_csv``; ``simulate`` for verify. Entries call the library
@@ -251,34 +255,27 @@ class DesignEntry:
 class _TTEDual(DesignEntry):
     keys = ("alpha", "decision_hr", "n_events", "null_hr", "sigma", "level")
 
-    def build(self, cfg, require_n):
-        _require_fields(tte_mod.DualCriterionTTEDesign, cfg, "n_events")
-        if "n_events" not in cfg and not require_n:
-            return None
+    def build(self, cfg):
         return _build(tte_mod.DualCriterionTTEDesign, cfg)
 
-    def size(self, cfg, design):
-        alpha = cfg["alpha"]
-        null_hr = cfg.get("null_hr", 1.0)
-        decision_hr = cfg["decision_hr"]
-        sigma = cfg.get("sigma", tte_mod.DEFAULT_SIGMA)
+    def size(self, cfg, d):
         level = cfg.get("level", tte_mod.DEFAULT_LEVEL)
-        n_min = tte_mod.min_events_dual(alpha, null_hr, decision_hr, sigma)
+        n_min = tte_mod.min_events_dual(d.alpha, d.null_hr, d.decision_hr, d.sigma)
         # The estimate threshold for a GO is the tighter of the decision
         # value and the significance threshold.
-        t_sig = tte_mod.significance_threshold(alpha, null_hr, sigma, n_min)
+        t_sig = tte_mod.significance_threshold(d.alpha, d.null_hr, d.sigma, n_min)
         lines = [
             f"n_min = {n_min}",
-            f"estimate threshold at n_min = {fmt3(min(decision_hr, t_sig))}",
-            _precision_line("n_min", sigma, n_min, level),
+            f"estimate threshold at n_min = {fmt3(min(d.decision_hr, t_sig))}",
+            _precision_line("n_min", d.sigma, n_min, level),
         ]
-        if design is not None:
-            t_sig = design.significance_threshold
+        if "n_events" in cfg:
+            t_sig = d.significance_threshold
             lines += [
-                f"n_events = {design.n_events}",
-                f"GO threshold at n_events = {fmt3(min(decision_hr, t_sig))}",
+                f"n_events = {d.n_events}",
+                f"GO threshold at n_events = {fmt3(min(d.decision_hr, t_sig))}",
                 f"significance threshold at n_events = {fmt3(t_sig)}",
-                _precision_line("n_events", sigma, design.n_events, level),
+                _precision_line("n_events", d.sigma, d.n_events, level),
             ]
         return lines
 
@@ -309,7 +306,7 @@ class _TTEDual(DesignEntry):
 class _TTEStandard(DesignEntry):
     keys = ("alpha", "beta", "alt_hr", "null_hr", "sigma", "n_events", "level")
 
-    def build(self, cfg, require_n):
+    def build(self, cfg):
         return _build(tte_mod.StandardTTEDesign, cfg)
 
     def size(self, cfg, d):
@@ -329,7 +326,7 @@ class _TTEStandard(DesignEntry):
 class _TTEPrecision(DesignEntry):
     keys = ("factor", "level", "sigma")
 
-    def build(self, cfg, require_n):
+    def build(self, cfg):
         return _build(tte_mod.PrecisionTTEDesign, cfg)
 
     def size(self, cfg, design):
@@ -347,24 +344,23 @@ class _BinaryDual(_Binary):
     keys = ("prior_a", "prior_b", "prior_mean", "null_orr", "sig_prob", "decision_orr", "n", "n_max")
     posterior_csv = True
 
-    def build(self, cfg, require_n):
+    def build(self, cfg):
         _require_fields(binary_mod.DualCriterionBinaryDesign, cfg, "prior", "n")
         prior = prior_of(cfg)
-        if "n" not in cfg and not require_n:
-            return None
+        if "n" not in cfg:
+            cfg = {**cfg, "n": _build(binary_mod.min_sample_size_grid, cfg, prior=prior)}
         return _build(binary_mod.DualCriterionBinaryDesign, cfg, prior=prior)
 
     def size(self, cfg, design):
-        n_min = _build(binary_mod.min_sample_size_grid, cfg, prior=prior_of(cfg))
-        lines = [f"n_min = {n_min}"]
-        if design is not None:
-            r_go = binary_mod.min_responders(design)
-            lines.append(f"n = {design.n}")
-            lines.append(
-                "min responders for GO at n = "
-                + ("unreachable" if r_go is None else str(r_go))
-            )
-        return lines
+        if "n" not in cfg:
+            return [f"n_min = {design.n}"]
+        n_min = _build(binary_mod.min_sample_size_grid, cfg, prior=design.prior)
+        r_go = binary_mod.min_responders(design)
+        return [
+            f"n_min = {n_min}",
+            f"n = {design.n}",
+            "min responders for GO at n = " + ("unreachable" if r_go is None else str(r_go)),
+        ]
 
     def caption(self, d):
         return (
@@ -391,7 +387,7 @@ class _BinaryDual(_Binary):
 class _ThreeOutcome(_Binary):
     keys = ("p0", "p1", "alpha", "beta", "eta", "pi", "n", "r_go", "r_nogo", "n_max")
 
-    def build(self, cfg, require_n):
+    def build(self, cfg):
         boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
         if len(boundary_keys) == 3:
             return _build(three_mod.ThreeOutcomeDesign, cfg)
@@ -458,14 +454,12 @@ class ResolvedDesign:
     reps: int
 
 
-def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
+def resolve_design(cfg: dict) -> ResolvedDesign:
     """Build the design a config describes.
 
-    With ``require_n=False`` the sample-size field may be absent for
-    designs whose size the ``size`` command derives; the design slot is
-    then None and only the sizing inputs are validated. A key the design
-    kind does not read is an error, so a value meant for another kind is
-    never silently dropped.
+    A config without a size gets the design kind's derived one. A key the
+    design kind does not read is an error, so a value meant for another
+    kind is never silently dropped.
     """
     endpoint = _choice(cfg, "endpoint", ENDPOINTS)
     kind = _choice(cfg, "design_kind", DESIGN_KINDS)
@@ -481,7 +475,7 @@ def resolve_design(cfg: dict, *, require_n: bool = True) -> ResolvedDesign:
         endpoint=endpoint,
         kind=kind,
         entry=entry,
-        design=entry.build(cfg, require_n),
+        design=entry.build(cfg),
         label=cfg.get("label"),
         grid=cfg.get("grid"),
         seed=cfg.get("seed", DEFAULT_SEED),

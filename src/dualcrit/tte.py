@@ -82,24 +82,30 @@ class DualCriterionTTEDesign:
     GO requires a one-sided p-value at or below ``alpha`` (equivalently an
     estimate at or below the significance threshold) together with an
     estimated HR at or below ``decision_hr``.
+
+    ``n_events`` left out is filled with ``min_events_dual``;
+    ``dataclasses.replace`` keeps it, so pass ``n_events=None`` to re-size.
     """
 
     alpha: float
     decision_hr: float
-    n_events: int
+    n_events: int | None = None
     null_hr: float = 1.0
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
         n_min = min_events_dual(self.alpha, self.null_hr, self.decision_hr, self.sigma)
+        if self.n_events is None:
+            object.__setattr__(self, "n_events", n_min)
         check_count(self.n_events, "n_events")
         if self.n_events < n_min:
+            # Level 3 is the caller of the generated __init__.
             warnings.warn(
                 f"n_events={self.n_events} is below the minimum {n_min} at which "
                 f"meeting the decision value implies significance; "
                 f"relevant-but-not-significant outcomes are possible",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

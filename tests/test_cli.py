@@ -33,6 +33,14 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def without_keys(path, *keys) -> str:
+    """The text of a config file with the lines that set ``keys`` dropped."""
+    return "".join(
+        line for line in Path(path).read_text().splitlines(True)
+        if line.partition("=")[0].strip() not in keys
+    )
+
+
 def run_module(*argv, python_args=("-m", "dualcrit")) -> subprocess.CompletedProcess:
     """``python -m dualcrit`` in a child process importing this checkout;
     ``python_args`` replaces ``-m dualcrit`` ahead of ``argv``."""
@@ -53,6 +61,17 @@ class TestSize:
         assert "n_min = 52" in out
         assert "estimate threshold at n_min = 0.700" in out
         assert "significance threshold at n_events = 0.736" in out
+
+    def test_tte_dual_without_n_events(self, capsys, tmp_path):
+        cfg = tmp_path / "no_n_events.cfg"
+        cfg.write_text(without_keys(TTE_CONFIGS[0], "n_events"))
+        code, out, _ = run(capsys, "size", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines() == [
+            "n_min = 52",
+            "estimate threshold at n_min = 0.700",
+            "implied CI half-width factor at n_min (level 0.95) = 1.722",
+        ]
 
     def test_tte_standard(self, capsys):
         code, out, _ = run(
@@ -94,9 +113,8 @@ class TestSize:
     def test_binary_search_rejects_sig_prob_below_one_half(self, capsys, tmp_path):
         # Without n the size comes from the grid search alone, which must
         # apply the design's own bound on sig_prob.
-        text = Path(BINARY_CONFIGS[0]).read_text()
         cfg = tmp_path / "no_n.cfg"
-        cfg.write_text("".join(line for line in text.splitlines(True) if not line.startswith("n =")))
+        cfg.write_text(without_keys(BINARY_CONFIGS[0], "n"))
         code, out, err = run(capsys, "size", "--config", str(cfg), "--set", "sig_prob=0.3")
         assert code == 2
         assert out == ""
@@ -105,14 +123,8 @@ class TestSize:
     def test_three_outcome_search_rejects_p0_at_or_above_p1_as_the_design_does(self, capsys, tmp_path):
         # Without n, r_go and r_nogo the design comes from the search, which
         # must reject the inputs as the pinned design does: exit 2, not 3.
-        text = Path(BINARY_CONFIGS[2]).read_text()
         cfg = tmp_path / "search.cfg"
-        cfg.write_text(
-            "".join(
-                line for line in text.splitlines(True)
-                if line.partition("=")[0].strip() not in ("n", "r_go", "r_nogo")
-            )
-        )
+        cfg.write_text(without_keys(BINARY_CONFIGS[2], "n", "r_go", "r_nogo"))
         pinned = run(capsys, "size", "--config", BINARY_CONFIGS[2], "--set", "p0=0.4")
         searched = run(capsys, "size", "--config", str(cfg), "--set", "p0=0.4")
         assert searched == pinned == (2, "", "error: p0 must be below p1, got 0.4 >= 0.275\n")
@@ -326,6 +338,52 @@ def test_pinned_outputs_byte_identical():
     assert cli_outputs() == json.loads(CLI_BYTES.read_text(encoding="utf-8"))
 
 
+# The caption each design kind with operating characteristics gives its OC
+# table when the config has no label.
+CAPTIONS = {
+    "randomized_tte_design1": "dual-criterion (tte): alpha=0.1, null_hr=1.0, "
+    "decision_hr=0.7, sigma=2.0, n_events=70",
+    "randomized_tte_design3": "standard (tte): alpha=0.1, beta=0.1, alt_hr=0.5, n_events=55",
+    "single_arm_binary_design1": "dual-criterion (binary): prior=Beta(0.0811, 1.0), "
+    "null_orr=0.075, sig_prob=0.95, decision_orr=0.175, n=25",
+    "single_arm_binary_design3": "three-outcome (binary): n=27, r_nogo=3, r_go=5",
+}
+
+
+@pytest.mark.parametrize("name,caption", CAPTIONS.items(), ids=list(CAPTIONS))
+def test_oc_without_a_label_is_captioned_by_its_design(capsys, tmp_path, name, caption):
+    # The pinned labelled table with the design's caption in place of the label.
+    path = tmp_path / "unlabelled.cfg"
+    path.write_text(without_keys(CONFIGS / f"{name}.cfg", "label"))
+    _, labelled, _ = json.loads(CLI_BYTES.read_text(encoding="utf-8"))[f"oc --config configs/{name}.cfg"]
+    assert run(capsys, "oc", "--config", str(path)) == (0, caption + "\n" + labelled.split("\n", 1)[1], "")
+
+
+# The shipped dual configs, the key that sets their size and an observed value.
+DUAL_CONFIGS = [
+    *((path, "n_events", "0.75") for path in [*TTE_CONFIGS[:2], str(CONFIGS / "oc_curve_n309.cfg"),
+                                              str(CONFIGS / "oc_curve_n420.cfg")]),
+    *((path, "n", "5") for path in BINARY_CONFIGS[:2]),
+]
+
+
+@pytest.mark.parametrize(
+    "path,size_key,observed", DUAL_CONFIGS, ids=[Path(path).stem for path, *_ in DUAL_CONFIGS]
+)
+def test_a_dual_config_without_a_size_runs_at_the_size_that_size_reports(
+    capsys, tmp_path, path, size_key, observed
+):
+    sizeless = tmp_path / "sizeless.cfg"
+    sizeless.write_text(without_keys(path, size_key))
+    code, out, _ = run(capsys, "size", "--config", str(sizeless))
+    assert code == 0
+    n_min = out.splitlines()[0].removeprefix("n_min = ")
+    for command in (["oc"], ["decide", "--observed", observed], ["verify", "--reps", "1000"]):
+        at_n_min = run(capsys, command[0], "--config", str(path), f"--set={size_key}={n_min}", *command[1:])
+        assert run(capsys, command[0], "--config", str(sizeless), *command[1:]) == at_n_min
+        assert at_n_min[0] == 0, command
+
+
 class TestCompare:
     def test_tte_fixture_byte_identical(self, capsys):
         argv = ["compare"]
@@ -381,8 +439,8 @@ class TestConfigRoundTrip:
             capsys, "size", "--config", path, "--dump-config", str(dumped)
         )
         assert code == 0
-        original = resolve_design(load_config(path), require_n=False)
-        rebuilt = resolve_design(load_config(dumped), require_n=False)
+        original = resolve_design(load_config(path))
+        rebuilt = resolve_design(load_config(dumped))
         assert rebuilt.design == original.design
         assert rebuilt.grid == original.grid
         assert rebuilt.label == original.label
@@ -673,6 +731,14 @@ class TestExtremeMagnitudes:
         # rates whose quantile argument rounds to 1 named an internal call.
         assert run(capsys, *argv) == (2, "", f"error: {error}\n")
 
+    def test_dual_size_past_the_count_bound(self, capsys, tmp_path):
+        # The derived size is a count like a given one, so it has the same bound.
+        cfg = tmp_path / "dual.cfg"
+        cfg.write_text(without_keys(TTE_CONFIGS[0], "n_events"))
+        code, out, err = run(capsys, "size", "--config", str(cfg), "--set", "sigma=1e12")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_events must be at most 2**53, got 1")
+
     def test_precision_size_overflow(self, capsys, tmp_path):
         cfg = tmp_path / "prec.cfg"
         cfg.write_text("endpoint = tte\ndesign_kind = precision\nfactor = 1.2\nsigma = 1e300\n")
@@ -744,6 +810,85 @@ class TestRepeatedOption:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOverrides:
+    """``--grid``, ``--seed`` and ``--reps`` are ``--set`` items, and a key
+    may be overridden once."""
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (["--set", "seed=1", "--set", "seed=2"], "seed"),
+            (["--seed", "3", "--set", "seed=2"], "seed"),
+            (["--set", "reps=2000", "--reps", "1000"], "reps"),
+            (["--set", "grid=0.5", "--grid", "0.7"], "grid"),
+            (["--set", "n_events=60", "--set", "n_events=80"], "n_events"),
+        ],
+        ids=["set-set", "seed-set", "set-reps", "set-grid", "n_events"],
+    )
+    def test_a_key_overridden_twice_exits_2_naming_it(self, capsys, overrides, key):
+        code, out, err = run(capsys, "verify", "--config", TTE_CONFIGS[0], *overrides)
+        assert (code, out, err) == (2, "", f"error: {key!r} may be overridden only once\n")
+
+    def test_options_parse_as_config_values(self, capsys):
+        # As in a config file, where "seed = 1e3" is 1000.
+        code, out, _ = run(
+            capsys, "verify", "--config", BINARY_CONFIGS[2], "--seed", "1e3", "--reps", "1e3",
+            "--grid", " 0.1, 0.3 ",
+        )
+        assert code == 0
+        assert "(seed=1000, reps=1000)" in out.splitlines()[0]
+        assert [line.split()[0] for line in out.splitlines()[2:-1]] == ["0.100"] * 3 + ["0.300"] * 3
+
+    @pytest.mark.parametrize(
+        "option,value,error",
+        [
+            ("--seed", "abc", "value for 'seed' must be a number, got 'abc'"),
+            ("--reps", "2.5", "value for 'reps' must be an integer, got '2.5'"),
+            ("--grid", "", "grid must list at least one value, got ''"),
+        ],
+        ids=["seed", "reps", "grid"],
+    )
+    def test_a_bad_option_value_is_a_config_error(self, capsys, option, value, error):
+        code, out, err = run(capsys, "verify", "--config", TTE_CONFIGS[0], option, value)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+class TestErrorPaths:
+    """Exit 2 and the first error line on paths the other tests do not take."""
+
+    @pytest.mark.parametrize(
+        "argv,config,error",
+        [
+            (["oc", "--set", "grid=,"], TTE_CONFIGS[0], "grid must list at least one value, got ','"),
+            (["oc", "--grid", "0.5,x"], TTE_CONFIGS[0], "grid values must be numbers, got '0.5,x'"),
+            (["size"], "endpoint = tte\nalpha 0.1\n", "{path}:2: expected 'key = value', got 'alpha 0.1'"),
+            (["size"], without_keys(BINARY_CONFIGS[0], "prior_a"),
+             "binary designs need prior_a (or prior_mean), plus prior_b"),
+            (["size"], without_keys(BINARY_CONFIGS[2], "r_go"),
+             "three_outcome designs need either all of n, r_go, r_nogo or none"),
+            (["decide", "--observed", "28"], BINARY_CONFIGS[2], "responder count must lie in [0, 27], got 28"),
+            (["compare", "--config", str(CONFIGS / "oc_curve_n309.cfg")], TTE_CONFIGS[0],
+             "compare needs the same true-effect grid for every design"),
+        ],
+        ids=["empty-grid", "grid-not-numbers", "no-equals", "no-prior", "partial-boundaries",
+             "decide-out-of-range", "compare-grids"],
+    )
+    def test_exit_2_and_first_error_line(self, capsys, tmp_path, argv, config, error):
+        # ``config`` is a shipped config's path or the text of one to write.
+        path = config
+        if "\n" in config:
+            path = tmp_path / "test.cfg"
+            path.write_text(config)
+        code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert (code, out, err.splitlines()[0]) == (2, "", "error: " + error.format(path=path))
+
+
+BINARY_INFEASIBLE = (
+    "endpoint = binary\ndesign_kind = dual\nprior_a = 0.0811\nprior_b = 1.0\n"
+    "null_orr = 0.075\nsig_prob = 0.999999\ndecision_orr = 0.076\nn_max = 25\n"
+)
+
+
 class TestInfeasibleExitCode:
     def test_three_outcome_search_failure(self, capsys, tmp_path):
         cfg = tmp_path / "hard.cfg"
@@ -758,13 +903,29 @@ class TestInfeasibleExitCode:
 
     def test_binary_grid_failure(self, capsys, tmp_path):
         cfg = tmp_path / "hard.cfg"
-        cfg.write_text(
-            "endpoint = binary\ndesign_kind = dual\nprior_a = 0.0811\nprior_b = 1.0\n"
-            "null_orr = 0.075\nsig_prob = 0.999999\ndecision_orr = 0.076\nn_max = 25\n"
-        )
+        cfg.write_text(BINARY_INFEASIBLE)
         code, _, err = run(capsys, "size", "--config", str(cfg))
         assert code == 3
         assert "no conclusive sample size" in err
+
+    @pytest.mark.parametrize("command", [["oc"], ["decide", "--observed", "1"], ["verify"]], ids=" ".join)
+    def test_binary_grid_failure_on_every_command(self, capsys, tmp_path, command):
+        # Without n every command sizes the design by the grid search.
+        cfg = tmp_path / "hard.cfg"
+        cfg.write_text(BINARY_INFEASIBLE)
+        code, out, err = run(capsys, command[0], "--config", str(cfg), *command[1:])
+        assert (code, out, err) == (3, "", "error: no conclusive sample size at or below n_max=25\n")
+
+
+def test_below_minimum_warning_is_one_line():
+    result = run_module(
+        "oc", "--config", "configs/randomized_tte_design1.cfg", "--set", "n_events=30"
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "warning: n_events=30 is below the minimum 52 at which meeting the decision value "
+        "implies significance; relevant-but-not-significant outcomes are possible"
+    ]
 
 
 def test_module_entry_point_runs():

@@ -7,6 +7,7 @@ forms by a separate special-function implementation.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from scipy.special import ndtr, ndtri
@@ -277,6 +278,24 @@ def _no_warning():
     return contextlib.nullcontext()
 
 
+class TestDualDesignSize:
+    def test_filled_size_is_the_minimum(self, recwarn):
+        design = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, sigma=3.0)
+        assert design.n_events == min_events_dual(0.1, 1.0, 0.7, 3.0) == 117
+        assert design == DualCriterionTTEDesign(0.1, 0.7, 117, sigma=3.0)
+        assert len(recwarn) == 0
+
+    def test_replace_keeps_a_filled_size_unless_it_is_cleared(self):
+        design = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7)
+        assert replace(design, decision_hr=0.6, n_events=None).n_events == 26
+        with pytest.warns(UserWarning, match="n_events=52 is below the minimum 86"):
+            assert replace(design, alpha=0.05).n_events == 52
+
+    def test_a_filled_size_has_the_count_bound(self):
+        with pytest.raises(ValueError, match=r"n_events must be at most 2\*\*53"):
+            DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, sigma=1e12)
+
+
 class TestStandardDesignSize:
     def test_filled_size_follows_sigma(self):
         assert StandardTTEDesign(0.1, 0.1, 0.5, sigma=3.0).n_events == standard_design_events(
@@ -432,8 +451,10 @@ class TestDecide:
         assert decision.case == 3
 
     def test_relevant_but_not_significant_below_minimum_size(self):
-        with pytest.warns(UserWarning, match="below the minimum"):
+        with pytest.warns(UserWarning, match="below the minimum") as record:
             design = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, n_events=30)
+        # The warning points at the caller, not into the generated __init__.
+        assert [w.filename for w in record] == [__file__]
         assert design.significance_threshold == pytest.approx(0.626, abs=1e-3)
         decision = decide_tte(design, 0.69)
         assert decision.tag is DecisionTag.INCONCLUSIVE_RELEVANT_NOT_SIG
