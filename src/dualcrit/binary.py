@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .distributions import BetaParams, beta_cdf, beta_quantile, check_count, check_open_probability
+from .distributions import BetaParams, beta_cdf, beta_quantile, check_open_probability, check_trials
 from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 1000
@@ -43,7 +43,7 @@ class DualCriterionBinaryDesign:
 
     def __post_init__(self):
         _check_criteria(self.null_orr, self.sig_prob, self.decision_orr)
-        check_count(self.n, "n")
+        check_trials(self.n, "n", self.prior)
 
     @cached_property
     def cut_rule(self) -> CutRule:
@@ -166,7 +166,7 @@ def min_sample_size_grid(
       implies R(n + 1) <= n + 1), so the first size within reach probes.
     """
     _check_criteria(null_orr, sig_prob, decision_orr)
-    check_count(n_max, "n_max")
+    check_trials(n_max, "n_max", prior)
     last_failure = 0
     r_clin = 0 if _relevant(prior, decision_orr, 0, 0) else 1
     significant = None  # at (n - 1, R(n - 1)); None until within reach

@@ -6,12 +6,14 @@ Subcommands: ``size`` (minimum sample sizes and implied thresholds),
 designs), and ``verify`` (analytic vs simulated operating characteristics).
 
 Exit codes: 0 success, 2 config or parse error, 3 infeasible design,
-4 verification failure.
+4 verification failure, 141 standard output closed early (as by
+``| head``), which ends the command quietly, as a SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_BROKEN_PIPE = 128 + 13
 
 MIN_REPORTED_REPLICATES = 1000
 # Options that are shorthands for --set KEY=VALUE, with their metavars.
@@ -267,7 +270,13 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.handler(args)
+            code = args.handler(args)
+            sys.stdout.flush()  # a closed reader is met here, not at exit
+            return code
+        except BrokenPipeError:
+            with open(os.devnull, "w") as devnull:  # for the flush at exit
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
         except InfeasibleDesignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE

@@ -1,10 +1,11 @@
 """Probability primitives for design calculations.
 
 Standard normal CDF (``math.erfc``) and quantile (``NormalDist.inv_cdf``,
-Wichura's AS241), the parts of a binomial or normal statistic beyond two
-cut points, and the regularized incomplete beta function with its inverse.
-Only the three families the designs need; this is not a general
-distribution library.
+Wichura's AS241), the regularized incomplete beta function with its
+inverse, and the binomial upper tail read from one incomplete beta. Only
+the three families the designs need; this is not a general distribution
+library. The binomial pmf is the simulation oracle's, and no analytic
+probability reads it.
 
 Everything here takes and returns scalars and runs on the standard
 library, so no design calculation loads numpy; the simulation oracle is
@@ -23,12 +24,15 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 # Continued-fraction evaluation limits for the incomplete beta function;
-# near the mean it needs about 0.4 * sqrt(max(a, b)) terms.
+# near the mean it needs up to about 0.8 * sqrt(max(a, b)) terms, so at
+# most about 250 within the shape cap.
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
-_CF_MIN_ITER = 500
-# Beyond this the continued fraction's products of shapes overflow.
-_MAX_SHAPE = 1e150
+_CF_MAX_ITER = 500
+# The largest power of ten at which beta_cdf stays within 1e-9 of a 30-digit
+# evaluation (worst seen 3.2e-10; 1.7e-9 at 1e6): the lgamma differences of
+# its front factor lose about shape * log(shape) * 2**-53.
+_MAX_SHAPE = 1e5
 # Integers above this do not all convert to float exactly.
 _MAX_COUNT = 2**53
 
@@ -82,6 +86,16 @@ def check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def check_trials(n, name: str, prior: BetaParams | None = None) -> int:
+    """Validate a number of binomial trials whose tails, and posteriors
+    under ``prior``, keep every Beta shape within the accurate range."""
+    n = check_count(n, name)
+    most = math.floor(_MAX_SHAPE - (max(prior.a, prior.b) if prior else 0.0))
+    if n > most:
+        raise ValueError(f"{name} must be at most {most} so that Beta shapes stay within {_MAX_SHAPE:g}, got {n}")
+    return n
+
+
 def _scalar(value, name: str) -> float:
     """``value`` as a float; a sequence or an array is a TypeError naming
     the function, since these functions take one number at a time."""
@@ -114,14 +128,10 @@ def std_normal_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def _check_binomial_args(n: int, p: float) -> float:
-    check_count(n, "number of trials")
-    return check_probability(p, "success probability")
-
-
 def binomial_pmf(n: int, p: float, k: int) -> float:
     """P(R = k) for R ~ Binomial(n, p), evaluated in log space."""
-    p = _check_binomial_args(n, p)
+    check_count(n, "number of trials")
+    p = check_probability(p, "success probability")
     if not 0 <= k <= n or k != int(k):
         raise ValueError(f"k must be an integer in [0, {n}], got {k}")
     if p == 0.0:
@@ -135,97 +145,57 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
 
 
 def binomial_tail(n: int, p: float, r: int) -> float:
-    """Upper tail P(R >= r) for R ~ Binomial(n, p).
+    """Upper tail P(R >= r) for R ~ Binomial(n, p), from one incomplete
+    beta: P(R >= r) = I_p(r, n - r + 1) (Abramowitz & Stegun 26.5.24).
 
-    Accepts r in [0, n+1]; r = 0 gives 1 and r = n+1 gives 0.
+    Accepts r in [0, n+1]; r = 0 gives 1 and r = n+1 gives 0. The lower
+    tail P(R < r) is ``binomial_tail(n, 1 - p, n + 1 - r)``.
     """
+    check_trials(n, "number of trials")
+    p = check_probability(p, "success probability")
     if not 0 <= r <= n + 1 or r != int(r):
         raise ValueError(f"r must be an integer in [0, {n + 1}], got {r}")
-    tail = binomial_cut_probs(n, p, 0, r)[0]
-    return 1.0 if r == 0 else tail
-
-
-def _part(pmf: list[float]) -> float:
-    # fsum keeps tail(r) - tail(r + 1) == pmf(r) to a couple of ulps even
-    # for n ~ 1e4; a part holding nearly all the mass is capped at 1.
-    return min(1.0, math.fsum(pmf))
-
-
-def binomial_cut_probs(n: int, p: float, lo: int, hi: int) -> tuple[float, float, float]:
-    """(P(R >= hi), P(R < lo), P(lo <= R < hi)) for R ~ Binomial(n, p).
-
-    The three outcomes of a rule with cut points 0 <= lo <= hi <= n + 1 on
-    the count: GO at or above hi, NO-GO below lo, inconclusive between.
-    Each part is summed from the pmf, so a small part keeps its relative
-    accuracy instead of flushing to zero as a difference from 1 would.
-    """
-    p = _check_binomial_args(n, p)
-    if not 0 <= lo <= hi <= n + 1 or lo != int(lo) or hi != int(hi):
-        raise ValueError(f"cut points must be whole numbers with 0 <= lo <= hi <= {n + 1}, got {lo}, {hi}")
-    lo, hi = int(lo), int(hi)
-    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
-    return _part(pmf[hi:]), _part(pmf[:lo]), _part(pmf[lo:hi])
-
-
-def binomial_tails(n: int, p: float):
-    """The GO and NO-GO parts of ``binomial_cut_probs`` as functions of one
-    cut point r in [0, n + 1]: r -> P(R >= r) and r -> P(R < r), one pmf."""
-    pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
-    return (lambda r: _part(pmf[r:])), (lambda r: _part(pmf[:r]))
-
-
-def normal_cut_probs(mean: float, se: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """(P(X >= hi), P(X < lo), P(lo <= X < hi)) for X ~ Normal(mean, se).
-
-    Each tail is one CDF value and keeps its relative accuracy. The middle
-    part is the difference of the two tails on the side of the mean where
-    both are small, or 1 minus both where the cuts straddle the mean and
-    neither exceeds 1/2. Equal cuts give exactly 0.
-    """
-    if not lo <= hi:
-        raise ValueError(f"cut points must satisfy lo <= hi, got {lo}, {hi}")
-    # The third tail lies past the cut nearer the mean.
-    near = lo if mean <= lo else hi if hi <= mean else mean
-    p_go = std_normal_cdf((mean - hi) / se)
-    p_nogo = std_normal_cdf((lo - mean) / se)
-    p_near = std_normal_cdf(-abs(near - mean) / se)
-    between = p_near - p_go if mean <= lo else p_near - p_nogo if hi <= mean else 1.0 - p_go - p_nogo
-    return p_go, p_nogo, between
+    if r == 0:
+        return 1.0
+    if r == n + 1:
+        return 0.0
+    return beta_cdf(BetaParams(r, n - r + 1), p)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
+    tiny, eps = _CF_FPMIN, _CF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
+    if -tiny < d < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max(_CF_MIN_ITER, 2 * math.ceil(math.sqrt(max(a, b)))) + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise ArithmeticError(
         f"incomplete beta continued fraction did not converge for "

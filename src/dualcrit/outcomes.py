@@ -33,6 +33,13 @@ def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> int:
     return bisect_left(range(below + 1, min(probe, hi + 1)), True, key=holds) + below + 1
 
 
+def responder_tails(n: int, p: float) -> tuple[Callable[[int], float], Callable[[int], float]]:
+    """c -> P(R >= c) and c -> P(R < c) for R ~ Binomial(n, p) and a cut c
+    in [0, n + 1]; each is one incomplete beta on its own side."""
+    tail = distributions.binomial_tail
+    return (lambda c: tail(n, p, c)), (lambda c: tail(n, 1.0 - p, n + 1 - c))
+
+
 class DecisionTag(enum.Enum):
     GO = "GO"
     NOGO = "NO-GO"
@@ -126,15 +133,28 @@ class CutRule:
                     raise ValueError(f"cut {name} must be a whole number in [0, {self.n + 1}], got {cut}")
 
     def oc(self, true_effect: float) -> OperatingCharacteristics:
-        """Outcome probabilities at a true response rate or hazard ratio."""
+        """Outcome probabilities at a true response rate or hazard ratio:
+        the upper tail at hi (GO), the lower tail at lo (NO-GO) and between
+        them the difference of the two tails on the mean's side, or 1 minus
+        both where the cuts straddle the mean. Each part keeps its relative
+        accuracy, and equal cuts give exactly 0 inconclusive."""
         if self.n is not None:
             true_effect = distributions.check_open_probability(true_effect, "true_orr")
-            probs = distributions.binomial_cut_probs(self.n, true_effect, self.lo, self.hi)
+            mean = self.n * true_effect
+            upper, lower = responder_tails(self.n, true_effect)
         elif math.isfinite(true_effect) and true_effect > 0.0:
-            probs = distributions.normal_cut_probs(-math.log(true_effect), self.se, self.lo, self.hi)
+            mean, se, cdf = -math.log(true_effect), self.se, distributions.std_normal_cdf
+            upper, lower = (lambda c: cdf((mean - c) / se)), (lambda c: cdf((c - mean) / se))
         else:
             raise ValueError(f"true_hr must be positive, got {true_effect}")
-        return OperatingCharacteristics(true_effect, *probs)
+        p_go, p_nogo = upper(self.hi), lower(self.lo)
+        if mean <= self.lo:
+            between = upper(self.lo) - p_go
+        elif self.hi <= mean:
+            between = lower(self.hi) - p_nogo
+        else:
+            between = 1.0 - p_go - p_nogo
+        return OperatingCharacteristics(true_effect, p_go, p_nogo, between)
 
     def shifted(self, delta: float) -> CutRule:
         """The GO cut moved by delta responders, clamped to [0, n + 1], or by

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .distributions import binomial_tails, check_count, check_open_probability
-from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics, first_true
+from .distributions import check_count, check_open_probability, check_trials
+from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics, first_true, responder_tails
 
 DEFAULT_N_MAX = 100
 
@@ -50,7 +50,7 @@ class ThreeOutcomeDesign:
     pi: float
 
     def __post_init__(self):
-        check_count(self.n, "n")
+        check_trials(self.n, "n")
         if not 0 <= self.r_nogo < self.r_go <= self.n:
             raise ValueError(
                 f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "
@@ -96,10 +96,10 @@ def feasible_pairs(
     """All (r_nogo, r_go) pairs at size n, at least ``MIN_BOUNDARY_GAP``
     apart, satisfying the four constraints."""
     # Each constraint is monotone in its cut point, so the admissible cut
-    # points are ranges, on the parts constraint_values reads. No GO tail
+    # points are ranges, on the tails constraint_values reads. No GO tail
     # reaches pi at n + 1, so go_hi is at most n.
-    go0, nogo0 = binomial_tails(n, p0)
-    go1, nogo1 = binomial_tails(n, p1)
+    go0, nogo0 = responder_tails(n, p0)
+    go1, nogo1 = responder_tails(n, p1)
     go_lo = first_true(lambda r: go0(r) <= alpha, MIN_BOUNDARY_GAP, n + 1)
     go_hi = first_true(lambda r: go1(r) < pi, 0, n + 1) - 1
     if go_lo > go_hi:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from scipy.special import ndtr, ndtri
 
+from dualcrit import distributions, oracle
 from dualcrit.cli import main
 from dualcrit.config import load_config, parse_value, resolve_design
 
@@ -41,13 +42,14 @@ def without_keys(path, *keys) -> str:
     )
 
 
-def run_module(*argv, python_args=("-m", "dualcrit")) -> subprocess.CompletedProcess:
+def run_module(*argv, python_args=("-m", "dualcrit"), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m dualcrit`` in a child process importing this checkout;
     ``python_args`` replaces ``-m dualcrit`` ahead of ``argv``."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, *python_args, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
@@ -611,6 +613,18 @@ class TestVerifyGateOnConfigs:
             assert (code, err) == (expected, ""), (delta, out)
             assert "(seed=42, reps=100000)" in out
 
+    @pytest.mark.parametrize("path", BINARY_CONFIGS, ids=lambda p: Path(p).stem)
+    def test_fails_a_binomial_model_that_is_off(self, capsys, monkeypatch, path):
+        # The analytic OC reads incomplete-beta tails, so a pmf at 1.03 p
+        # moves the simulated counts alone.
+        def off(n, p, k, pmf=distributions.binomial_pmf):
+            return pmf(n, 1.03 * p, k)
+
+        monkeypatch.setattr(distributions, "binomial_pmf", off)
+        monkeypatch.setattr(oracle, "binomial_pmf", off)
+        code, out, err = run(capsys, "verify", "--config", path, "--seed", "42")
+        assert (code, err) == (4, ""), out
+
 
 NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
 DECIDE_NEEDS_DUAL = "error: decide needs a dual-criterion design (tte)"
@@ -698,7 +712,7 @@ class TestExtremeMagnitudes:
             (["oc", "--config", TTE_CONFIGS[2], "--set", "n_events=77", "--set", "sigma=1e6"],
              "the significance threshold underflows at sigma=1000000.0, n_events=77"),
             (["oc", "--config", BINARY_CONFIGS[0], "--set", "prior_a=1e300"],
-             "beta shapes must be at most 1e+150, got (1e+300, 1.0)"),
+             "beta shapes must be at most 100000, got (1e+300, 1.0)"),
         ],
         ids=["dual-sigma", "standard-sigma", "dual-threshold", "standard-threshold", "prior-shape"],
     )
@@ -767,14 +781,52 @@ class TestExtremeMagnitudes:
 
 
 def test_decide_on_a_posterior_in_the_millions():
-    # The incomplete beta's continued fraction needs more terms than a
-    # fixed cap allows once the posterior shapes reach the millions.
+    # Posterior shapes in the millions are past the range where the
+    # incomplete beta is accurate to 1e-9, so the size is refused by name;
+    # the largest admitted size (prior_b = 1) decides.
     result = run_module(
         "decide", "--config", BINARY_CONFIGS[0], "--set", "n=4000000", "--observed", "1000000"
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: n must be at most 99999 so that Beta shapes stay within 100000, got 4000000\n"
+    result = run_module(
+        "decide", "--config", BINARY_CONFIGS[0], "--set", "n=99999", "--observed", "25000"
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout.startswith("GO: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--reps", "1000"], ["oc"], ["size"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_ends_quietly(argv):
+    # The reading end is closed before the child starts, so its first
+    # write fails, as behind ``| head`` once head has exited.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_module(*argv, "--config", BINARY_CONFIGS[0], stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+@pytest.mark.parametrize(
+    "config,override,error",
+    [
+        (0, "n=100000", "n must be at most 99999 so that Beta shapes stay within 100000, got 100000"),
+        (0, "prior_a=1e14", "beta shapes must be at most 100000, got (100000000000000.0, 1.0)"),
+        (2, "n=100001", "n must be at most 100000 so that Beta shapes stay within 100000, got 100001"),
+    ],
+    ids=["dual-n", "dual-prior", "three-outcome-n"],
+)
+def test_a_binary_size_or_prior_past_the_shape_cap_is_refused(capsys, config, override, error):
+    for command in ("size", "oc", "verify"):
+        argv = (command, "--config", BINARY_CONFIGS[config], "--set", override)
+        assert run(capsys, *argv) == (2, "", f"error: {error}\n")
 
 
 class TestRepeatedOption:

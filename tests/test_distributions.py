@@ -22,13 +22,13 @@ from dualcrit.distributions import (
     beta_cdf,
     beta_pdf,
     beta_quantile,
-    binomial_cut_probs,
     binomial_pmf,
     binomial_tail,
     check_count,
     std_normal_cdf,
     std_normal_quantile,
 )
+from dualcrit.outcomes import CutRule
 
 
 def erf_series(x: float) -> float:
@@ -234,15 +234,15 @@ class TestBinomial:
         exact = Fraction(p)
         tail_lo, tail_hi = exact_binomial_tail(n, exact, lo), exact_binomial_tail(n, exact, hi)
         want = (tail_hi, 1 - tail_lo, tail_lo - tail_hi)
-        got = binomial_cut_probs(n, p, lo, hi)
+        got = CutRule(lo, hi, n=n).oc(p).probs
         assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0)
         assert all(0.0 <= part <= 1.0 for part in got)
 
     def test_cut_probs_rejects_crossed_cut_points(self):
         with pytest.raises(ValueError):
-            binomial_cut_probs(10, 0.5, 6, 5)
+            CutRule(6, 5, n=10)
         with pytest.raises(ValueError):
-            binomial_cut_probs(10, 0.5, 0, 12)
+            CutRule(0, 12, n=10)
 
     def test_large_n_no_underflow(self):
         value = binomial_tail(10_000, 0.001, 30)
@@ -297,10 +297,35 @@ class TestBetaCdf:
             BetaParams(1.0, -2.0)
 
     def test_converges_for_large_shapes(self):
-        # Near the mean the continued fraction needs about 0.4 * sqrt(max(a, b))
-        # terms, past a fixed cap of 500 for shapes in the millions.
-        got = beta_cdf(BetaParams(1e6, 3e6), 0.25)
-        assert got == pytest.approx(float(scipy_betainc(1e6, 3e6, 0.25)), rel=1e-7)
+        # The most continued-fraction terms seen within the shape cap, 251,
+        # are needed at shapes like these near the mean.
+        got = beta_cdf(BetaParams(1e5, 71434.8), 0.5833)
+        assert got == pytest.approx(float(scipy_betainc(1e5, 71434.8, 0.5833)), abs=1e-9)
+
+    def test_within_1e_minus_9_of_mpmath_up_to_the_shape_cap(self):
+        # Past the cap the lgamma differences of the front factor lose more:
+        # 1.7e-9 at shapes of 1e6 and 0.30 at I_{1/2}(1e14, 1e14).
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        with mpmath.workdps(25):
+            for _ in range(40):
+                a, b = 1e5, float(rng.uniform(1.0, 1e5))
+                if rng.random() < 0.5:
+                    a, b = b, a
+                mean = a / (a + b)
+                x = mean + float(rng.uniform(-4.0, 4.0)) * math.sqrt(mean * (1 - mean) / (a + b))
+                # Each series runs on the side where its terms fall.
+                flip = x > mean
+                sa, sb, sx = (mpmath.mpf(v) for v in ((b, a, 1 - x) if flip else (a, b, x)))
+                front = mpmath.exp(sa * mpmath.log(sx) + sb * mpmath.log1p(-sx) - mpmath.log(sa) - mpmath.log(mpmath.beta(sa, sb)))
+                want = front * mpmath.hyp2f1(sa + sb, 1, sa + 1, sx, maxterms=10**6)
+                want = 1 - want if flip else want
+                assert abs(beta_cdf(BetaParams(a, b), x) - float(want)) <= 1e-9, (a, b, x)
+
+    @pytest.mark.parametrize("shapes", [(1e5 + 1, 1.0), (1.0, 1e6), (1e14, 1e14)])
+    def test_rejects_shapes_past_the_accurate_range(self, shapes):
+        with pytest.raises(ValueError, match="beta shapes must be at most 100000"):
+            BetaParams(*shapes)
 
     @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.0, 5.0, 50.0])
     @pytest.mark.parametrize("b", [0.05, 0.5, 1.0, 2.0, 5.0, 50.0])

@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from dualcrit.binary import PosteriorSummary
-from dualcrit.distributions import BetaParams, binomial_cut_probs
+from dualcrit import distributions
+from dualcrit.binary import DualCriterionBinaryDesign, PosteriorSummary
+from dualcrit.distributions import BetaParams
 from dualcrit.outcomes import CutRule, Decision, OperatingCharacteristics, first_true
+from dualcrit.three_outcome import ThreeOutcomeDesign, feasible_pairs, find_three_outcome_design
 
 
 def test_first_true_matches_a_linear_scan_and_probes_only_its_range():
@@ -42,10 +44,9 @@ def test_first_true_matches_a_linear_scan_and_probes_only_its_range():
         (lambda: CutRule(math.nan, 3, n=10), "cut lo must not exceed cut hi, got lo=nan, hi=3"),
         (lambda: CutRule(0.5, -0.5, se=0.2), "cut lo must not exceed cut hi, got lo=0.5, hi=-0.5"),
         (lambda: CutRule(0.0, math.nan, se=0.2), "cut lo must not exceed cut hi, got lo=0.0, hi=nan"),
-        (lambda: binomial_cut_probs(10, 0.5, 2.5, 3), "cut points must be whole numbers"),
     ],
     ids=["crossed", "hi-above-n+1", "lo-negative", "lo-not-whole", "shifted-not-whole",
-         "lo-nan", "normal-crossed", "normal-hi-nan", "binomial_cut_probs-not-whole"],
+         "lo-nan", "normal-crossed", "normal-hi-nan"],
 )
 def test_a_bad_cut_is_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -63,3 +64,22 @@ def test_small_value_types_have_slots_and_round_trip():
         assert not hasattr(value, "__dict__")
         assert pickle.loads(pickle.dumps(value)) == value
         assert replace(value) == value
+
+
+def test_the_analytic_binomial_side_reads_no_pmf(monkeypatch):
+    # The pmf is the simulation oracle's alone, so a fault in it cannot
+    # move the analytic OC it is checked against.
+    def refuse(*args):
+        raise AssertionError("binomial_pmf called")
+
+    monkeypatch.setattr(distributions, "binomial_pmf", refuse)
+    constraints = dict(p0=0.075, p1=0.275, alpha=0.05, beta=0.1, eta=0.8, pi=0.9)
+    designs = [
+        DualCriterionBinaryDesign(BetaParams(0.0811, 1.0), 0.075, 0.95, 0.175, n=25),
+        ThreeOutcomeDesign(n=27, r_go=5, r_nogo=3, **constraints),
+    ]
+    for design in designs:
+        for rate in (0.001, 0.075, 0.175, 0.5, 0.999):
+            assert sum(design.cut_rule.oc(rate).probs) == pytest.approx(1.0, abs=1e-12)
+    assert (3, 5) in feasible_pairs(27, **constraints)
+    assert find_three_outcome_design(**constraints) == designs[1]
