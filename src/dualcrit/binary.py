@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .distributions import BetaParams, beta_cdf, beta_quantile, check_open_probability, check_trials
-from .outcomes import CutRule, Decision, InfeasibleDesignError, OperatingCharacteristics, first_true
+from .outcomes import CutRule, Decision, DecisionTag, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 1000
 
@@ -53,6 +53,14 @@ class DualCriterionBinaryDesign:
         boundaries = (statistical_boundary(self), clinical_boundary(self))
         stat, clin = (self.n + 1 if r is None else r for r in boundaries)
         return CutRule(min(stat, clin), max(stat, clin), n=self.n)
+
+    @cached_property
+    def decision_table(self) -> tuple[DecisionTag, ...]:
+        """The tag ``decide_binary`` gives each responder count 0..n, built
+        once per design. The oracle decides its simulated trials by it,
+        independently of the boundaries in ``cut_rule``.
+        """
+        return tuple(decide_binary(self, r).tag for r in range(self.n + 1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,15 +7,22 @@ integers, so results are bit-identical for a given seed no matter how the
 chunks are executed or in what order the counts are reduced, and the
 arrays held at any time are O(chunk), not O(replicates).
 
+One Philox bit generator serves a whole tally: before each chunk it is
+re-keyed to that chunk's key, at counter 0 with an empty buffer, which is
+the state a freshly keyed Philox starts in.
+
 Each chunk hands its decision rule the keyed generator, and the rule draws
 what its model needs. A time-to-event replicate is one standard normal from
 numpy's ziggurat sampler (``Generator.standard_normal``), with no quantile
 transform, so the simulated side shares no normal code with the AS241
 quantile the analytic formulas use. A binary replicate is one uniform,
-inverted through the binomial CDF. The counts therefore depend on numpy's
-``Generator`` algorithms as well as on the seed. This is the only module
-that imports numpy, and only in the functions that draw and count, so
-importing it for ``SimulationConfig`` or ``monte_carlo_cells`` does not.
+inverted through the binomial CDF: the replicates of a chunk are counted
+below the CDF at each edge of the design's decision table, the counts where
+the decision changes, and the table is built once per design. The counts
+therefore depend on numpy's ``Generator`` algorithms as well as on the
+seed. This is the only module that imports numpy, and only in the
+functions that draw and count, so importing it for ``SimulationConfig`` or
+``monte_carlo_cells`` does not.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .binary import DualCriterionBinaryDesign, decide_binary
+from .binary import DualCriterionBinaryDesign
 from .distributions import binomial_pmf, check_count
 from .outcomes import DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
@@ -39,6 +46,8 @@ _CHUNK = 8192
 # The chunk index fills the low 32 bits of the second key word, under the
 # scenario; more chunks than that would read the next scenario's streams.
 _MAX_REPLICATES = _CHUNK * 2**32
+# Tally index of a decision; the two inconclusive tags share the last.
+_CODE = {DecisionTag.GO: 0, DecisionTag.NOGO: 1}
 
 
 def _key_word(value, name: str, bits: int) -> int:
@@ -87,12 +96,30 @@ class SimulatedOC:
 def _keyed_chunks(seed: int, scenario: int, n: int) -> Iterator[tuple[np.random.Generator, int]]:
     """n replicates, one chunk at a time: chunk c holds replicates
     [c * _CHUNK, (c + 1) * _CHUNK), drawn from the Philox stream keyed by
-    (seed, scenario << 32 | c). Yields each chunk's generator and size."""
+    (seed, scenario << 32 | c). Yields each chunk's generator and size.
+
+    One bit generator is re-keyed for every chunk, so each yielded
+    generator is valid only until the next chunk is asked for. A new
+    ``Philox(key=...)`` per chunk would draw the same numbers, but would
+    first seed itself from OS entropy only to have the key overwrite it.
+    """
     import numpy as np
 
+    bits = np.random.Philox()
+    gen = np.random.Generator(bits)
+    start = np.zeros(4, dtype=np.uint64)
     for chunk, lo in enumerate(range(0, n, _CHUNK)):
         key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
-        yield np.random.Generator(np.random.Philox(key=key)), min(_CHUNK, n - lo)
+        # Counter 0 and an empty buffer: the state Philox(key=key) starts in.
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": start, "key": key},
+            "buffer": start,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen, min(_CHUNK, n - lo)
 
 
 def _tally(
@@ -121,7 +148,8 @@ def simulate_tte_oc(
     """
     import numpy as np
 
-    if not true_hr > 0.0:
+    # As the analytic OC: an infinite or NaN HR is refused, not simulated.
+    if not (math.isfinite(true_hr) and true_hr > 0.0):
         raise ValueError(f"true_hr must be positive, got {true_hr}")
     s = design.sigma / math.sqrt(design.n_events)
     significance_hr = design.significance_threshold
@@ -146,32 +174,37 @@ def simulate_binary_oc(
     """Draw responder counts and apply the design's own decision rule.
 
     Dual-criterion designs are decided through the posterior criteria at
-    each drawn count, independently of the boundary arithmetic the
-    analytic operating characteristics use.
+    each count, in the design's ``decision_table``, independently of the
+    boundary arithmetic the analytic operating characteristics use.
     """
     import numpy as np
 
     if not 0.0 < true_orr < 1.0:
         raise ValueError(f"true_orr must lie in (0, 1), got {true_orr}")
     n_trials = design.n
+    # One code per responder count, indexing the (GO, NO-GO, inconclusive) tally.
     if isinstance(design, ThreeOutcomeDesign):
-        responders = np.arange(n_trials + 1)
-        go, nogo = responders >= design.r_go, responders <= design.r_nogo
+        codes = [0 if r >= design.r_go else 1 if r <= design.r_nogo else 2 for r in range(n_trials + 1)]
     else:
-        tags = [decide_binary(design, r).tag for r in range(n_trials + 1)]
-        go = np.array([t is DecisionTag.GO for t in tags])
-        nogo = np.array([t is DecisionTag.NOGO for t in tags])
+        codes = [_CODE.get(tag, 2) for tag in design.decision_table]
     cdf = np.cumsum([binomial_pmf(n_trials, true_orr, k) for k in range(n_trials + 1)])
+    # The edges of the table: each count k < n whose code differs from k + 1's.
+    edges = [(cdf[k], codes[k]) for k in range(n_trials) if codes[k] != codes[k + 1]]
 
     def decide(gen, size):
         # A replicate draws at most k responders when u < cdf[k]; n takes
-        # every u above the rounded CDF's last entry. Sorting the chunk
-        # turns that into one binary search per count, not per replicate.
+        # every u above the rounded CDF's last entry. The run of equal codes
+        # that ends at an edge takes the uniforms below that edge's CDF not
+        # taken by the runs before it: one pass per edge, not per count.
         u = gen.random(size)
-        u.sort()
-        at_most = np.searchsorted(u, cdf[:-1])
-        by_count = np.diff(at_most, prepend=0, append=u.size)
-        return int(by_count[go].sum()), int(by_count[nogo].sum())
+        tally = [0, 0, 0]
+        taken = 0
+        for bound, code in edges:
+            below = int(np.count_nonzero(u < bound))
+            tally[code] += below - taken
+            taken = below
+        tally[codes[-1]] += size - taken
+        return tally[0], tally[1]
 
     return _tally(true_orr, decide, cfg)
 

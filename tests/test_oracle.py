@@ -1,6 +1,7 @@
 """Simulation oracle: reproducibility, exact counting, and agreement
 with the analytic operating characteristics."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcrit import binary
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
 from dualcrit.distributions import BetaParams, binomial_pmf
 from dualcrit.oracle import (
@@ -39,11 +41,12 @@ def _stream(seed, scenario, n, draw="random"):
     return np.concatenate([getattr(gen, draw)(size) for gen, size in _keyed_chunks(seed, scenario, n)])
 
 
-def _full_array_counts(design, effect, cfg):
+def _full_array_counts(design, effect, cfg, tags=None):
     """Reference tally over full-size arrays: one decision code per
     replicate from nested ``np.where`` (TTE) or a per-count code table
     (binary), then one ``bincount``. TTE replicates take one standard
-    normal each, binary replicates one uniform, from the keyed streams."""
+    normal each, binary replicates one uniform, from the keyed streams.
+    ``tags``, one per responder count, stands in for ``decide_binary``."""
     go, nogo, inconclusive = 0, 1, 2
     if isinstance(design, DualCriterionTTEDesign):
         z = _stream(cfg.seed, cfg.scenario, cfg.n_replicates, "standard_normal")
@@ -63,7 +66,8 @@ def _full_array_counts(design, effect, cfg):
             codes_by_r[design.r_go:] = go
             codes_by_r[: design.r_nogo + 1] = nogo
         else:
-            tags = [decide_binary(design, r).tag for r in range(n_trials + 1)]
+            if tags is None:
+                tags = [decide_binary(design, r).tag for r in range(n_trials + 1)]
             codes_by_r = np.array(
                 [go if t is DecisionTag.GO else nogo if t is DecisionTag.NOGO else inconclusive
                  for t in tags]
@@ -143,6 +147,19 @@ class TestKeyedStreams:
             gen = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(full[lo:hi], getattr(gen, draw)(hi - lo))
 
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    def test_rekeyed_generator_draws_what_a_freshly_keyed_one_does(self, draw):
+        # One Philox is re-keyed per chunk; an odd draw leaves part of the
+        # previous chunk's buffer behind, which re-keying must drop.
+        seed, scenario = 2**64 - 1, 2**32 - 1
+        for chunk, (gen, _) in enumerate(_keyed_chunks(seed, scenario, 13 * 8192)):
+            if chunk in (0, 1, 12):
+                key = np.array([seed, (scenario << 32) | chunk], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=key))
+                assert np.array_equal(getattr(gen, draw)(8191), getattr(fresh, draw)(8191))
+            else:
+                getattr(gen, draw)(3)
+
     def test_streams_differ_across_seed_and_scenario(self):
         base = _stream(42, 0, 4096)
         assert not np.array_equal(base, _stream(43, 0, 4096))
@@ -193,6 +210,15 @@ class TestSimulateTTE:
     def test_rejects_bad_true_hr(self):
         with pytest.raises(ValueError):
             simulate_tte_oc(TTE_DESIGN, 0.0, SimulationConfig(seed=1, n_replicates=1000))
+
+    @pytest.mark.parametrize("true_hr", [math.inf, math.nan])
+    def test_rejects_a_non_finite_true_hr_as_the_analytic_side_does(self, true_hr):
+        # an infinite HR used to simulate as all NO-GO
+        message = f"^true_hr must be positive, got {true_hr}$"
+        with pytest.raises(ValueError, match=message):
+            oc_dual_tte(TTE_DESIGN, true_hr)
+        with pytest.raises(ValueError, match=message):
+            simulate_tte_oc(TTE_DESIGN, true_hr, SimulationConfig(seed=1, n_replicates=1000))
 
 
 # Bernstein's inequality for a sum of n Bernoulli(p) replicates,
@@ -264,6 +290,15 @@ class TestSimulateBinary:
         with pytest.raises(ValueError):
             simulate_binary_oc(BINARY_DESIGN, 1.0, SimulationConfig(seed=1, n_replicates=1000))
 
+    def test_decision_table_is_built_once_per_design(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(binary, "decide_binary", lambda *args: calls.append(args) or decide_binary(*args))
+        design = dataclasses.replace(BINARY_DESIGN)  # no table cached yet
+        for p in (0.05, 0.075, 0.1, 0.175, 0.2, 0.275, 0.4):
+            simulate_binary_oc(design, p, SimulationConfig(seed=1, n_replicates=1000))
+        # One decision per responder count, for all of the calls above.
+        assert sorted(r for _, r in calls) == list(range(design.n + 1))
+
 
 class TestToleranceGate:
     def test_detects_a_corrupted_probability(self):
@@ -309,6 +344,29 @@ class TestAgainstFullArrayTally:
             sim = simulate_binary_oc(design, effect, cfg)
         assert sim.counts == _full_array_counts(design, effect, cfg)
         assert all(type(c) is int for c in sim.counts)
+
+
+def _alternating_tags(n):
+    """GO at every third count, NO-GO after it and an inconclusive count
+    of either kind after that: a table no monotone rule produces."""
+    inconclusive = (DecisionTag.INCONCLUSIVE_RELEVANT_NOT_SIG, DecisionTag.INCONCLUSIVE_SIG_NOT_RELEVANT)
+    return tuple(
+        (DecisionTag.GO, DecisionTag.NOGO, inconclusive[r % 2])[r % 3] for r in range(n + 1)
+    )
+
+
+class TestRunEdgeCounting:
+    @pytest.mark.parametrize("n_replicates", [1, 8191, 8193, 100_000])
+    def test_a_table_of_many_runs_counts_as_the_full_array_tally(self, n_replicates):
+        design = dataclasses.replace(BINARY_WITH_INCONCLUSIVE)
+        tags = _alternating_tags(design.n)
+        design.__dict__["decision_table"] = tags  # where cached_property keeps it
+        cfg = SimulationConfig(seed=20240611, n_replicates=n_replicates, scenario=3)
+        sim = simulate_binary_oc(design, 0.175, cfg)
+        assert sim.counts == _full_array_counts(design, 0.175, cfg, tags=tags)
+        if n_replicates == 100_000:
+            # the patched table, not the design's own, decided the trials
+            assert sim.counts != simulate_binary_oc(BINARY_WITH_INCONCLUSIVE, 0.175, cfg).counts
 
 
 class TestMemory:
