@@ -26,8 +26,8 @@ from .config import (
     resolve_design,
 )
 from .oracle import SimulationConfig, monte_carlo_cells
-from .outcomes import InfeasibleDesignError, OperatingCharacteristics
-from .tables import CSV_OC_HEADER, ResultTable, fmt3, render_tables, write_csv
+from .outcomes import InfeasibleDesignError
+from .tables import CSV_OC_HEADER, fmt3, render_table, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -38,6 +38,8 @@ EXIT_BROKEN_PIPE = 128 + 13
 MIN_REPORTED_REPLICATES = 1000
 # Options that are shorthands for --set KEY=VALUE, with their metavars.
 SET_SHORTHANDS = {"grid": "V1,V2,...", "seed": "N", "reps": "N"}
+# The heading of the true-effect column, by endpoint.
+EFFECT_COLUMN = {"tte": "true_hr", "binary": "true_orr"}
 
 
 class _StoreOnce(argparse.Action):
@@ -154,19 +156,25 @@ def _caption(rd: ResolvedDesign) -> str:
     return rd.label if rd.label else rd.entry.caption(rd.design)
 
 
-def _oc_table(rd: ResolvedDesign) -> tuple[ResultTable, list[OperatingCharacteristics]]:
-    grid = _require_grid(rd)
-    rule = getattr(rd.design, "cut_rule", None)
-    if rule is None:
-        raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
-    table = ResultTable(
-        caption=_caption(rd),
-        headers=[rd.entry.effect, "p_go", "p_nogo", "p_inconclusive"],
-    )
-    ocs = [rule.oc(true_effect) for true_effect in grid]
-    for oc in ocs:
-        table.add_row([fmt3(oc.true_effect), fmt3(oc.p_go), fmt3(oc.p_nogo), fmt3(oc.p_inconclusive)])
-    return table, ocs
+def _print_oc(designs: list[ResolvedDesign], csv_path: str | None, design_column: bool) -> None:
+    """Print each design's OC table over its grid, a blank line between
+    tables, and write every row to ``csv_path`` when given; with
+    ``design_column``, each CSV row starts with its table's caption."""
+    tables, csv_rows = [], []
+    for rd in designs:
+        grid = _require_grid(rd)
+        rule = getattr(rd.design, "cut_rule", None)
+        if rule is None:
+            raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
+        ocs = [rule.oc(true_effect) for true_effect in grid]
+        caption = _caption(rd)
+        headers = [EFFECT_COLUMN[rd.endpoint], "p_go", "p_nogo", "p_inconclusive"]
+        tables.append(render_table(caption, headers, [[fmt3(oc.true_effect), *map(fmt3, oc.probs)] for oc in ocs]))
+        lead = [caption] if design_column else []
+        csv_rows += ([*lead, oc.true_effect, *oc.probs] for oc in ocs)
+    print("\n\n".join(tables))
+    if csv_path:
+        write_csv(csv_path, (["design"] if design_column else []) + CSV_OC_HEADER, csv_rows)
 
 
 def cmd_size(args) -> int:
@@ -177,12 +185,7 @@ def cmd_size(args) -> int:
 
 
 def cmd_oc(args) -> int:
-    cfg = _effective_config(args, args.config)
-    rd = resolve_design(cfg)
-    table, ocs = _oc_table(rd)
-    print(render_tables([table]), end="")
-    if args.csv:
-        write_csv(args.csv, CSV_OC_HEADER, [[oc.true_effect, *oc.probs] for oc in ocs])
+    _print_oc([resolve_design(_effective_config(args, args.config))], args.csv, design_column=False)
     return EXIT_OK
 
 
@@ -202,31 +205,19 @@ def cmd_decide(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.config) < 2:
         raise ConfigError("compare needs at least two --config files")
-    resolved = []
-    for path in args.config:
-        cfg = _effective_config(args, path)
-        resolved.append(resolve_design(cfg))
+    resolved = [resolve_design(_effective_config(args, path)) for path in args.config]
     endpoints = {rd.endpoint for rd in resolved}
     if len(endpoints) > 1:
         raise ConfigError(f"compare needs a single endpoint, got {sorted(endpoints)}")
     grids = {tuple(_require_grid(rd)) for rd in resolved}
     if len(grids) > 1:
         raise ConfigError("compare needs the same true-effect grid for every design")
-    tables = []
-    csv_rows = []
-    for rd in resolved:
-        table, ocs = _oc_table(rd)
-        tables.append(table)
-        csv_rows.extend([_caption(rd), oc.true_effect, *oc.probs] for oc in ocs)
-    print(render_tables(tables), end="")
-    if args.csv:
-        write_csv(args.csv, ["design"] + CSV_OC_HEADER, csv_rows)
+    _print_oc(resolved, args.csv, design_column=True)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _effective_config(args, args.config)
-    rd = resolve_design(cfg)
+    rd = resolve_design(_effective_config(args, args.config))
     grid = _require_grid(rd)
     if rd.reps < MIN_REPORTED_REPLICATES:
         raise ConfigError(
@@ -236,10 +227,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"verify is not defined for {rd.kind} designs")
     rule = rd.design.cut_rule.shifted(args.corrupt_go_boundary)
 
-    table = ResultTable(
-        caption=f"verify: {_caption(rd)} (seed={rd.seed}, reps={rd.reps})",
-        headers=[rd.entry.effect, "outcome", "analytic", "simulated", "diff", "limit_3se", "status"],
-    )
+    rows = []
     all_pass = True
     for index, true_effect in enumerate(grid):
         sim_cfg = SimulationConfig(seed=rd.seed, n_replicates=rd.reps, scenario=index)
@@ -247,18 +235,12 @@ def cmd_verify(args) -> int:
         simulated = rd.entry.simulate(rd.design, true_effect, sim_cfg)
         for cell in monte_carlo_cells(analytic, simulated):
             all_pass = all_pass and cell.passed
-            table.add_row(
-                [
-                    fmt3(true_effect),
-                    cell.outcome,
-                    f"{cell.analytic:.6f}",
-                    f"{cell.simulated:.6f}",
-                    f"{abs(cell.analytic - cell.simulated):.6f}",
-                    f"{cell.limit:.6f}",
-                    "PASS" if cell.passed else "FAIL",
-                ]
-            )
-    print(render_tables([table]), end="")
+            numbers = (cell.analytic, cell.simulated, abs(cell.analytic - cell.simulated), cell.limit)
+            status = "PASS" if cell.passed else "FAIL"
+            rows.append([fmt3(true_effect), cell.outcome, *(f"{x:.6f}" for x in numbers), status])
+    caption = f"verify: {_caption(rd)} (seed={rd.seed}, reps={rd.reps})"
+    headers = [EFFECT_COLUMN[rd.endpoint], "outcome", "analytic", "simulated", "diff", "limit_3se", "status"]
+    print(render_table(caption, headers, rows))
     print("verification " + ("PASSED" if all_pass else "FAILED"))
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 

@@ -135,7 +135,9 @@ def load_config(path: str | Path) -> dict:
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     """Apply ``key=value`` override strings on top of a parsed config; a
-    key may be overridden once."""
+    key may be overridden once. An override of any key but ``label``,
+    ``grid``, ``seed`` and ``reps`` drops the config's label, which names
+    the design as written, so the design's own caption is printed."""
     overrides = {}
     for item in assignments:
         if "=" not in item:
@@ -145,6 +147,8 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         if key in overrides:
             raise ConfigError(f"{key!r} may be overridden only once")
         overrides[key] = parse_value(key, value)
+    if overrides.keys() - {"label", "grid", "seed", "reps"}:
+        cfg = {key: value for key, value in cfg.items() if key != "label"}
     return {**cfg, **overrides}
 
 
@@ -239,15 +243,15 @@ class DesignEntry:
 
     Every entry has ``keys``, the config keys it reads beyond
     ``COMMON_KEYS``; ``build(cfg)``, which returns the design, at its
-    derived size when the config gives none; ``size(cfg, design)`` and
-    ``effect``, the true-effect column heading. A capability
-    is None where the kind lacks it: ``caption``, the OC table caption of a
-    design with a ``cut_rule``; ``decide``, given a CSV path only if
-    ``posterior_csv``; ``simulate`` for verify. Entries call the library
-    through its modules, so a patched module attribute reaches every call.
+    derived size when the config gives none; and ``size(cfg, design)``.
+    A capability is None where the kind lacks it: ``caption``, the OC
+    table caption of a design with a ``cut_rule``; ``decide``, given a CSV
+    path only if ``posterior_csv``; ``simulate`` for verify. The table
+    heading of the true effect follows from the endpoint, not the entry.
+    Entries call the library through its modules, so a patched module
+    attribute reaches every call.
     """
 
-    effect = "true_hr"
     posterior_csv = False
     caption = decide = simulate = None
 
@@ -334,8 +338,6 @@ class _TTEPrecision(DesignEntry):
 
 
 class _Binary(DesignEntry):
-    effect = "true_orr"
-
     def simulate(self, design, true_orr, sim_cfg):
         return oracle.simulate_binary_oc(design, true_orr, sim_cfg)
 

@@ -187,9 +187,11 @@ def simulate_binary_oc(
         codes = [0 if r >= design.r_go else 1 if r <= design.r_nogo else 2 for r in range(n_trials + 1)]
     else:
         codes = [_CODE.get(tag, 2) for tag in design.decision_table]
-    cdf = np.cumsum([binomial_pmf(n_trials, true_orr, k) for k in range(n_trials + 1)])
     # The edges of the table: each count k < n whose code differs from k + 1's.
-    edges = [(cdf[k], codes[k]) for k in range(n_trials) if codes[k] != codes[k + 1]]
+    edges = [k for k in range(n_trials) if codes[k] != codes[k + 1]]
+    # The CDF is read at the edges alone, so the pmf stops at the last one.
+    cdf = np.cumsum([binomial_pmf(n_trials, true_orr, k) for k in range(edges[-1] + 1 if edges else 0)])
+    bounds = [(cdf[k], codes[k]) for k in edges]
 
     def decide(gen, size):
         # A replicate draws at most k responders when u < cdf[k]; n takes
@@ -199,7 +201,7 @@ def simulate_binary_oc(
         u = gen.random(size)
         tally = [0, 0, 0]
         taken = 0
-        for bound, code in edges:
+        for bound, code in bounds:
             below = int(np.count_nonzero(u < bound))
             tally[code] += below - taken
             taken = below

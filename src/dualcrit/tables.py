@@ -1,14 +1,14 @@
 """Deterministic text tables and CSV emission.
 
-Tables round to 3 decimals, half away from zero; CSV keeps full float
-precision (shortest round-trip repr). Output bytes depend only on the
-inputs, never on locale.
+``render_table`` lays out every table the commands print. ``fmt3`` rounds
+a cell to 3 decimals, half away from zero; CSV keeps full float precision
+(shortest round-trip repr). Output bytes depend only on the inputs, never
+on locale.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
@@ -32,35 +32,15 @@ def fmt_full(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass
-class ResultTable:
-    caption: str
-    headers: list[str]
-    rows: list[list[str]] = field(default_factory=list)
-
-    def add_row(self, cells: list[str]) -> None:
-        if len(cells) != len(self.headers):
-            raise ValueError(
-                f"row has {len(cells)} cells, table has {len(self.headers)} columns"
-            )
-        self.rows.append(cells)
-
-    def render(self) -> str:
-        widths = [
-            max(len(self.headers[i]), *(len(row[i]) for row in self.rows))
-            if self.rows
-            else len(self.headers[i])
-            for i in range(len(self.headers))
-        ]
-        lines = [self.caption]
-        lines.append("  ".join(h.rjust(w) for h, w in zip(self.headers, widths)))
-        for row in self.rows:
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        return "\n".join(lines)
-
-
-def render_tables(tables: list[ResultTable]) -> str:
-    return "\n\n".join(table.render() for table in tables) + "\n"
+def render_table(caption: str, headers: list[str], rows: list[list[str]]) -> str:
+    """The caption, then the headers and each row, cells right-aligned in
+    columns two spaces apart; no newline after the last line."""
+    for row in rows:
+        if len(row) != len(headers):
+            raise ValueError(f"row has {len(row)} cells, table has {len(headers)} columns")
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = ("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in [headers, *rows])
+    return "\n".join([caption, *lines])
 
 
 def write_csv(path: str | Path, headers: list[str], rows: list[list]) -> None:

@@ -74,6 +74,11 @@ class TestPriorFromMean:
         with pytest.raises(ValueError):
             prior_from_mean(bad)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_rejects_a_second_shape_that_is_not_positive(self, b):
+        with pytest.raises(ValueError, match=f"^b must be positive, got {b}$"):
+            prior_from_mean(0.2, b=b)
+
 
 class TestPosteriorSummary:
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from scipy.special import ndtr, ndtri
 from dualcrit import distributions, oracle
 from dualcrit.cli import main
 from dualcrit.config import load_config, parse_value, resolve_design
+from dualcrit.tables import render_table
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -340,6 +341,11 @@ def test_pinned_outputs_byte_identical():
     assert cli_outputs() == json.loads(CLI_BYTES.read_text(encoding="utf-8"))
 
 
+def test_a_table_row_of_the_wrong_length_is_a_value_error():
+    with pytest.raises(ValueError, match="^row has 1 cells, table has 2 columns$"):
+        render_table("caption", ["a", "b"], [["1", "2"], ["3"]])
+
+
 # The caption each design kind with operating characteristics gives its OC
 # table when the config has no label.
 CAPTIONS = {
@@ -361,6 +367,52 @@ def test_oc_without_a_label_is_captioned_by_its_design(capsys, tmp_path, name, c
     assert run(capsys, "oc", "--config", str(path)) == (0, caption + "\n" + labelled.split("\n", 1)[1], "")
 
 
+class TestLabelUnderOverrides:
+    """A label names the design its file describes; an override of a key
+    other than label, grid, seed and reps drops it."""
+
+    LABEL = "1. dual-criterion design: alpha=0.1, DV=0.7, n=70"
+
+    def test_a_design_override_is_captioned_by_the_design(self, capsys):
+        code, out, _ = run(capsys, "oc", "--config", TTE_CONFIGS[0], "--set", "n_events=30")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "dual-criterion (tte): alpha=0.1, null_hr=1.0, decision_hr=0.7, sigma=2.0, n_events=30"
+        )
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--grid", "0.5,0.7"], ["--set", "reps=2000"]])
+    def test_a_run_override_keeps_the_label(self, capsys, flags):
+        code, out, _ = run(capsys, "oc", "--config", TTE_CONFIGS[0], *flags)
+        assert (code, out.splitlines()[0]) == (0, self.LABEL)
+
+    @pytest.mark.parametrize("order", ["label-first", "label-last"])
+    def test_a_label_given_with_a_design_override_is_kept(self, capsys, order):
+        items = ["--set", "label=x", "--set", "n_events=30"]
+        if order == "label-last":
+            items = items[2:] + items[:2]
+        code, out, _ = run(capsys, "oc", "--config", TTE_CONFIGS[0], *items)
+        assert (code, out.splitlines()[0]) == (0, "x")
+
+    @pytest.mark.filterwarnings("ignore:n_events=.* is below the minimum:UserWarning")
+    def test_compare_captions_every_overridden_design_by_the_design(self, capsys, tmp_path):
+        csv_path = tmp_path / "compare.csv"
+        argv = ["compare", *(f"--config={path}" for path in TTE_CONFIGS), "--set", "sigma=3.0"]
+        code, out, _ = run(capsys, *argv, "--csv", str(csv_path))
+        assert code == 0
+        designs = [resolve_design({**load_config(path), "sigma": 3.0}) for path in TTE_CONFIGS]
+        captions = [rd.entry.caption(rd.design) for rd in designs]
+        assert [table.split("\n", 1)[0] for table in out.split("\n\n")] == captions
+        with open(csv_path, newline="") as handle:
+            assert list(dict.fromkeys(row["design"] for row in csv.DictReader(handle))) == captions
+
+    def test_a_design_override_dumps_no_label(self, capsys, tmp_path):
+        dumped = tmp_path / "dump.cfg"
+        run(capsys, "size", "--config", TTE_CONFIGS[0], "--set", "n_events=103", "--dump-config", str(dumped))
+        assert "label" not in load_config(dumped)
+        run(capsys, "size", "--config", TTE_CONFIGS[0], "--seed", "3", "--dump-config", str(dumped))
+        assert load_config(dumped)["label"] == self.LABEL
+
+
 # The shipped dual configs, the key that sets their size and an observed value.
 DUAL_CONFIGS = [
     *((path, "n_events", "0.75") for path in [*TTE_CONFIGS[:2], str(CONFIGS / "oc_curve_n309.cfg"),
@@ -375,8 +427,9 @@ DUAL_CONFIGS = [
 def test_a_dual_config_without_a_size_runs_at_the_size_that_size_reports(
     capsys, tmp_path, path, size_key, observed
 ):
+    # The label goes too: the size override it is compared with drops it.
     sizeless = tmp_path / "sizeless.cfg"
-    sizeless.write_text(without_keys(path, size_key))
+    sizeless.write_text(without_keys(path, size_key, "label"))
     code, out, _ = run(capsys, "size", "--config", str(sizeless))
     assert code == 0
     n_min = out.splitlines()[0].removeprefix("n_min = ")
@@ -737,8 +790,10 @@ class TestExtremeMagnitudes:
              "beta must be at least 2**-53, got 1e-17"),
             (["size", "--config", TTE_CONFIGS[0], "--set", "level=0.9999999999999999"],
              "level must be at most 1 - 2**-52, got 0.9999999999999999"),
+            (["size", "--config", TTE_CONFIGS[0], "--set", "level=1.5"],
+             "level must lie in (0, 1), got 1.5"),
         ],
-        ids=["dual-events", "binary-n", "standard-events", "alpha", "beta", "level"],
+        ids=["dual-events", "binary-n", "standard-events", "alpha", "beta", "level", "level-above-1"],
     )
     def test_input_past_the_bound_of_its_formula(self, capsys, argv, error):
         # Sizes past the float range used to end in an OverflowError, and

@@ -218,6 +218,16 @@ class TestBinomial:
         assert binomial_tail(10, 0.0, 1) == 0.0
         assert binomial_tail(10, 1.0, 10) == 1.0
 
+    def test_pmf_at_degenerate_rates_puts_all_mass_on_one_count(self):
+        assert [binomial_pmf(10, 0.0, k) for k in range(11)] == [1.0] + [0.0] * 10
+        assert [binomial_pmf(10, 1.0, k) for k in range(11)] == [0.0] * 10 + [1.0]
+
+    @pytest.mark.parametrize("call", [binomial_pmf, binomial_tail], ids=["pmf", "tail"])
+    @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+    def test_rejects_a_rate_outside_the_unit_interval(self, call, p):
+        with pytest.raises(ValueError, match=rf"^success probability must lie in \[0, 1\], got {p}$"):
+            call(10, p, 3)
+
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             binomial_tail(10, 0.5, 12)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcrit import binary
+from dualcrit import binary, oracle
 from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, oc_binary
 from dualcrit.distributions import BetaParams, binomial_pmf
 from dualcrit.oracle import (
@@ -367,6 +367,32 @@ class TestRunEdgeCounting:
         if n_replicates == 100_000:
             # the patched table, not the design's own, decided the trials
             assert sim.counts != simulate_binary_oc(BINARY_WITH_INCONCLUSIVE, 0.175, cfg).counts
+
+
+class TestPmfPrefix:
+    """The oracle evaluates the pmf at counts 0 to the table's last edge
+    alone, the counts whose CDF it reads."""
+
+    @staticmethod
+    def _pmf_counts(monkeypatch, design):
+        calls = []
+        monkeypatch.setattr(oracle, "binomial_pmf", lambda n, p, k: calls.append(k) or binomial_pmf(n, p, k))
+        simulate_binary_oc(design, 0.175, SimulationConfig(seed=1, n_replicates=1000))
+        return calls
+
+    @pytest.mark.parametrize(
+        "design,last_edge",
+        [(BINARY_DESIGN, 4), (BINARY_WITH_INCONCLUSIVE, 7), (THREE_OUTCOME, 4)],
+        ids=["dual-n25", "dual-n40", "three-outcome-n27"],
+    )
+    def test_the_paper_designs_stop_at_the_last_edge(self, monkeypatch, design, last_edge):
+        assert self._pmf_counts(monkeypatch, design) == list(range(last_edge + 1))
+
+    def test_a_table_without_an_edge_reads_no_pmf(self, monkeypatch):
+        design = dataclasses.replace(BINARY_DESIGN)
+        design.__dict__["decision_table"] = (DecisionTag.NOGO,) * (design.n + 1)
+        assert self._pmf_counts(monkeypatch, design) == []
+        assert simulate_binary_oc(design, 0.175, SimulationConfig(seed=1, n_replicates=1000)).counts == (0, 1000, 0)
 
 
 class TestMemory:

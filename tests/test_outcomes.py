@@ -44,13 +44,31 @@ def test_first_true_matches_a_linear_scan_and_probes_only_its_range():
         (lambda: CutRule(math.nan, 3, n=10), "cut lo must not exceed cut hi, got lo=nan, hi=3"),
         (lambda: CutRule(0.5, -0.5, se=0.2), "cut lo must not exceed cut hi, got lo=0.5, hi=-0.5"),
         (lambda: CutRule(0.0, math.nan, se=0.2), "cut lo must not exceed cut hi, got lo=0.0, hi=nan"),
+        (lambda: CutRule(2, 3, n=10, se=0.2), "a cut rule needs exactly one of n and se"),
+        (lambda: CutRule(2, 3), "a cut rule needs exactly one of n and se"),
     ],
     ids=["crossed", "hi-above-n+1", "lo-negative", "lo-not-whole", "shifted-not-whole",
-         "lo-nan", "normal-crossed", "normal-hi-nan"],
+         "lo-nan", "normal-crossed", "normal-hi-nan", "both-n-and-se", "neither-n-nor-se"],
 )
 def test_a_bad_cut_is_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build()
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ((1.5, -0.25, -0.25), r"p_go out of \[0, 1\]: 1.5"),
+        ((0.5, -0.1, 0.6), r"p_nogo out of \[0, 1\]: -0.1"),
+        ((0.2, 0.3, math.nan), r"p_inconclusive out of \[0, 1\]: nan"),
+        ((0.5, 0.5, 0.5), "outcome probabilities sum to 1.5, not 1"),
+        ((0.2, 0.3, 0.4), "outcome probabilities sum to 0.9, not 1"),
+    ],
+    ids=["go-above-1", "nogo-negative", "inconclusive-nan", "sum-above-1", "sum-below-1"],
+)
+def test_operating_characteristics_off_the_simplex_are_a_value_error(parts, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        OperatingCharacteristics(0.5, *parts)
 
 
 def test_small_value_types_have_slots_and_round_trip():

@@ -362,6 +362,17 @@ class TestInputBounds:
             with pytest.raises(ValueError, match="level must be at most 1 - 2[*][*]-52"):
                 call()
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=f"^level must lie in \\(0, 1\\), got {level}$"):
+            implied_precision_factor(2.0, 100, level)
+
+    def test_a_factor_past_the_largest_double_is_a_value_error(self):
+        with pytest.raises(
+            ValueError, match="^the CI half-width factor overflows at sigma=1000.0, n_events=1$"
+        ):
+            implied_precision_factor(1000.0, 1)
+
 
 class TestSmallErrorRates:
     """Upper quantiles are taken as minus the lower ones, so sizes and
