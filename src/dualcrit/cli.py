@@ -26,8 +26,8 @@ from .config import (
     resolve_design,
 )
 from .oracle import SimulationConfig, monte_carlo_cells
-from .outcomes import InfeasibleDesignError
-from .tables import CSV_OC_HEADER, fmt3, render_table, write_csv
+from .outcomes import OUTCOMES, InfeasibleDesignError
+from .tables import fmt3, render_table, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -168,13 +168,13 @@ def _print_oc(designs: list[ResolvedDesign], csv_path: str | None, design_column
             raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
         ocs = [rule.oc(true_effect) for true_effect in grid]
         caption = _caption(rd)
-        headers = [EFFECT_COLUMN[rd.endpoint], "p_go", "p_nogo", "p_inconclusive"]
+        headers = [EFFECT_COLUMN[rd.endpoint], *OUTCOMES]
         tables.append(render_table(caption, headers, [[fmt3(oc.true_effect), *map(fmt3, oc.probs)] for oc in ocs]))
         lead = [caption] if design_column else []
         csv_rows += ([*lead, oc.true_effect, *oc.probs] for oc in ocs)
     print("\n\n".join(tables))
     if csv_path:
-        write_csv(csv_path, (["design"] if design_column else []) + CSV_OC_HEADER, csv_rows)
+        write_csv(csv_path, (["design"] if design_column else []) + ["true_effect", *OUTCOMES], csv_rows)
 
 
 def cmd_size(args) -> int:

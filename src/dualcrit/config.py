@@ -25,7 +25,9 @@ from .outcomes import Decision
 from .tables import fmt3, fmt_full, write_csv
 
 DEFAULT_SEED = 42
-DEFAULT_REPLICATES = 100_000
+# The run parameters every design kind accepts, which ``ResolvedDesign``
+# carries; overriding only these keeps a config's label.
+RUN_KEYS = ("label", "grid", "seed", "reps")
 
 # key -> parser; also fixes the canonical dump order.
 _SCHEMA: dict[str, str] = {
@@ -128,16 +130,16 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     """Apply ``key=value`` override strings on top of a parsed config; a
-    key may be overridden once. An override of any key but ``label``,
-    ``grid``, ``seed`` and ``reps`` drops the config's label, which names
-    the design as written, so the design's own caption is printed."""
+    key may be overridden once. An override of any key but the
+    ``RUN_KEYS`` drops the config's label, which names the design as
+    written, so the design's own caption is printed."""
     overrides = {}
     for item in assignments:
         if "=" not in item:
@@ -147,7 +149,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         if key in overrides:
             raise ConfigError(f"{key!r} may be overridden only once")
         overrides[key] = parse_value(key, value)
-    if overrides.keys() - {"label", "grid", "seed", "reps"}:
+    if overrides.keys() - RUN_KEYS:
         cfg = {key: value for key, value in cfg.items() if key != "label"}
     return {**cfg, **overrides}
 
@@ -165,7 +167,10 @@ def dump_config(cfg: dict, path: str | Path) -> None:
     lines = [
         f"{key} = {_format_value(key, cfg[key])}" for key in _SCHEMA if key in cfg
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -417,8 +422,7 @@ class _ThreeOutcome(_Binary):
         r = _observed(observed, int, "a responder count")
         if not 0 <= r <= design.n:
             raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
-        rule = design.cut_rule
-        outcome = "GO" if r >= rule.hi else "INCONCLUSIVE" if r >= rule.lo else "NO-GO"
+        outcome = design.decision_table[r].value
         return [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
 
 
@@ -430,8 +434,8 @@ DESIGNS: dict[tuple[str, str], DesignEntry] = {
     ("binary", "three_outcome"): _ThreeOutcome(),
 }
 ENDPOINTS, DESIGN_KINDS = (tuple(dict.fromkeys(names)) for names in zip(*DESIGNS))
-# Keys every design kind accepts; the run parameters ``ResolvedDesign`` carries.
-COMMON_KEYS = ("endpoint", "design_kind", "label", "grid", "seed", "reps")
+# Keys every design kind accepts.
+COMMON_KEYS = ("endpoint", "design_kind", *RUN_KEYS)
 
 
 def _choice(cfg: dict, key: str, choices: tuple[str, ...]) -> str:
@@ -481,5 +485,5 @@ def resolve_design(cfg: dict) -> ResolvedDesign:
         label=cfg.get("label"),
         grid=cfg.get("grid"),
         seed=cfg.get("seed", DEFAULT_SEED),
-        reps=cfg.get("reps", DEFAULT_REPLICATES),
+        reps=cfg.get("reps", oracle.SimulationConfig.n_replicates),
     )

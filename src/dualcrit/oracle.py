@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign
 from .distributions import binomial_pmf, check_count
-from .outcomes import DecisionTag, OperatingCharacteristics
+from .outcomes import OUTCOMES, DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
 
@@ -46,7 +46,7 @@ _CHUNK = 8192
 # The chunk index fills the low 32 bits of the second key word, under the
 # scenario; more chunks than that would read the next scenario's streams.
 _MAX_REPLICATES = _CHUNK * 2**32
-# Tally index of a decision; the two inconclusive tags share the last.
+# Tally index of a decision; every inconclusive tag shares the last.
 _CODE = {DecisionTag.GO: 0, DecisionTag.NOGO: 1}
 
 
@@ -144,7 +144,8 @@ def simulate_tte_oc(
     design: DualCriterionTTEDesign, true_hr: float, cfg: SimulationConfig
 ) -> SimulatedOC:
     """Draw HR estimates from the log-normal sampling model, one standard
-    normal per replicate, and tabulate the decisions they trigger.
+    normal per replicate, and tabulate the decisions the design's own
+    ``criteria`` give them.
     """
     import numpy as np
 
@@ -152,12 +153,9 @@ def simulate_tte_oc(
     if not (math.isfinite(true_hr) and true_hr > 0.0):
         raise ValueError(f"true_hr must be positive, got {true_hr}")
     s = design.sigma / math.sqrt(design.n_events)
-    significance_hr = design.significance_threshold
 
     def decide(gen, size):
-        hr = np.exp(math.log(true_hr) + s * gen.standard_normal(size))
-        significant = hr <= significance_hr
-        relevant = hr <= design.decision_hr
+        significant, relevant = design.criteria(np.exp(math.log(true_hr) + s * gen.standard_normal(size)))
         return (
             int(np.count_nonzero(significant & relevant)),
             int(np.count_nonzero(~(significant | relevant))),
@@ -171,11 +169,11 @@ def simulate_binary_oc(
     true_orr: float,
     cfg: SimulationConfig,
 ) -> SimulatedOC:
-    """Draw responder counts and apply the design's own decision rule.
-
-    Dual-criterion designs are decided through the posterior criteria at
-    each count, in the design's ``decision_table``, independently of the
-    boundary arithmetic the analytic operating characteristics use.
+    """Draw responder counts and apply the design's own decision rule, the
+    tag its ``decision_table`` gives each count: the posterior criteria of
+    a dual-criterion design, the boundaries r_go and r_nogo of a
+    three-outcome one. Neither reads the cut points the analytic operating
+    characteristics use.
     """
     import numpy as np
 
@@ -183,10 +181,7 @@ def simulate_binary_oc(
         raise ValueError(f"true_orr must lie in (0, 1), got {true_orr}")
     n_trials = design.n
     # One code per responder count, indexing the (GO, NO-GO, inconclusive) tally.
-    if isinstance(design, ThreeOutcomeDesign):
-        codes = [0 if r >= design.r_go else 1 if r <= design.r_nogo else 2 for r in range(n_trials + 1)]
-    else:
-        codes = [_CODE.get(tag, 2) for tag in design.decision_table]
+    codes = [_CODE.get(tag, 2) for tag in design.decision_table]
     # The edges of the table: each count k < n whose code differs from k + 1's.
     edges = [k for k in range(n_trials) if codes[k] != codes[k + 1]]
     # The CDF is read at the edges alone, so the pmf stops at the last one.
@@ -228,7 +223,7 @@ def monte_carlo_cells(analytic: OperatingCharacteristics, simulated: SimulatedOC
     so an exact zero cell must be reproduced exactly.
     """
     cells = []
-    for outcome, p, p_hat in zip(("p_go", "p_nogo", "p_inconclusive"), analytic.probs, simulated.oc.probs):
+    for outcome, p, p_hat in zip(OUTCOMES, analytic.probs, simulated.oc.probs):
         limit = 3.0 * math.sqrt(p * (1.0 - p) / simulated.n_replicates)
         cells.append(GateCell(outcome, p, p_hat, limit, abs(p - p_hat) <= limit))
     return cells

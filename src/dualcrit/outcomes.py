@@ -13,6 +13,8 @@ from typing import Callable
 from . import distributions
 
 _SIMPLEX_TOL = 1e-9
+# The outcome of each probability in OperatingCharacteristics, in order.
+OUTCOMES = ("p_go", "p_nogo", "p_inconclusive")
 
 
 class InfeasibleDesignError(ValueError):
@@ -45,6 +47,8 @@ class DecisionTag(enum.Enum):
     NOGO = "NO-GO"
     INCONCLUSIVE_SIG_NOT_RELEVANT = "INCONCLUSIVE_SIG_NOT_RELEVANT"
     INCONCLUSIVE_RELEVANT_NOT_SIG = "INCONCLUSIVE_RELEVANT_NOT_SIG"
+    # The three-outcome design's middle zone; no Decision returns it.
+    INCONCLUSIVE = "INCONCLUSIVE"
 
 
 # Conventional four-case numbering: 1 = both criteria missed, 2 = both met,
@@ -93,7 +97,7 @@ class OperatingCharacteristics:
     p_inconclusive: float
 
     def __post_init__(self):
-        for name in ("p_go", "p_nogo", "p_inconclusive"):
+        for name in OUTCOMES:
             value = getattr(self, name)
             if not -_SIMPLEX_TOL <= value <= 1.0 + _SIMPLEX_TOL:
                 raise ValueError(f"{name} out of [0, 1]: {value}")
@@ -158,6 +162,15 @@ class CutRule:
 
     def shifted(self, delta: float) -> CutRule:
         """The GO cut moved by delta responders, clamped to [0, n + 1], or by
-        delta standard errors; a GO cut moved below lo takes lo along."""
-        hi = self.hi + delta * self.se if self.n is None else min(max(self.hi + delta, 0), self.n + 1)
+        delta standard errors, which must leave it finite; a GO cut moved
+        below lo takes lo along."""
+        if self.n is not None:
+            hi = min(max(self.hi + delta, 0), self.n + 1)
+        else:
+            try:
+                hi = self.hi + delta * self.se
+            except OverflowError:  # an int delta past the float range
+                hi = math.inf
+            if not math.isfinite(hi):
+                raise ValueError(f"the GO cut shifted by {delta} standard errors is not finite")
         return replace(self, lo=min(self.lo, hi), hi=hi)

@@ -12,9 +12,6 @@ import csv
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
-CSV_OC_HEADER = ["true_effect", "p_go", "p_nogo", "p_inconclusive"]
-
-
 # Enough digits for any finite float rounded to 3 decimals (at most 309
 # before the point).
 _FMT3_CONTEXT = Context(prec=320)
@@ -44,10 +41,17 @@ def render_table(caption: str, headers: list[str], rows: list[list[str]]) -> str
 
 
 def write_csv(path: str | Path, headers: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else fmt_full(cell) for cell in row]
-            )
+    """Write the headers and rows; a path that cannot be written is a
+    ``ConfigError``, as an unreadable config is."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(headers)
+            for row in rows:
+                writer.writerow(
+                    [cell if isinstance(cell, str) else fmt_full(cell) for cell in row]
+                )
+    except OSError as exc:
+        from .config import ConfigError  # config imports this module
+
+        raise ConfigError(f"cannot write {path}: {exc}") from None

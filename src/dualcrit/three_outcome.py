@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .distributions import check_count, check_open_probability, check_trials
-from .outcomes import CutRule, InfeasibleDesignError, OperatingCharacteristics, first_true, responder_tails
+from .outcomes import CutRule, DecisionTag, InfeasibleDesignError, OperatingCharacteristics, first_true, responder_tails
 
 DEFAULT_N_MAX = 100
 
@@ -64,6 +64,13 @@ class ThreeOutcomeDesign:
     def cut_rule(self) -> CutRule:
         """NO-GO at r <= r_nogo and GO at r >= r_go as cut points on the count."""
         return CutRule(self.r_nogo + 1, self.r_go, n=self.n)
+
+    @cached_property
+    def decision_table(self) -> tuple[DecisionTag, ...]:
+        """The tag of each responder count 0..n, from the boundaries, not
+        from ``cut_rule``: the rule the oracle and ``decide`` apply."""
+        go, nogo, between = DecisionTag.GO, DecisionTag.NOGO, DecisionTag.INCONCLUSIVE
+        return tuple(go if r >= self.r_go else nogo if r <= self.r_nogo else between for r in range(self.n + 1))
 
     def constraint_values(self) -> dict[str, float]:
         """Attained values of the four constrained probabilities."""

@@ -108,9 +108,16 @@ class DualCriterionTTEDesign:
                 stacklevel=3,
             )
 
-    @property
+    @cached_property
     def significance_threshold(self) -> float:
+        """Computed once per design: ``criteria`` reads it for every chunk of the oracle."""
         return significance_threshold(self.alpha, self.null_hr, self.sigma, self.n_events)
+
+    def criteria(self, estimated_hr):
+        """(significant, relevant) for an HR estimate, or elementwise for an
+        array of them. Both inequalities are inclusive. ``decide_tte`` and
+        the oracle decide by this rule, not by the cut points."""
+        return estimated_hr <= self.significance_threshold, estimated_hr <= self.decision_hr
 
     @cached_property
     def cut_rule(self) -> CutRule:
@@ -281,8 +288,6 @@ def oc_standard_tte(
 
 
 def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:
-    """Classify an observed HR estimate. Both inequalities are inclusive."""
+    """Classify an observed HR estimate by the design's ``criteria``."""
     _check_positive(estimated_hr, "estimated_hr")
-    significant = estimated_hr <= design.significance_threshold
-    relevant = estimated_hr <= design.decision_hr
-    return Decision(significant=significant, relevant=relevant)
+    return Decision(*design.criteria(estimated_hr))

@@ -766,8 +766,11 @@ class TestExtremeMagnitudes:
              "the significance threshold underflows at sigma=1000000.0, n_events=77"),
             (["oc", "--config", BINARY_CONFIGS[0], "--set", "prior_a=1e300"],
              "beta shapes must be at most 100000, got (1e+300, 1.0)"),
+            (["verify", "--config", TTE_CONFIGS[0], "--reps", "1000", "--corrupt-go-boundary", str(10**400)],
+             f"the GO cut shifted by {10**400} standard errors is not finite"),
         ],
-        ids=["dual-sigma", "standard-sigma", "dual-threshold", "standard-threshold", "prior-shape"],
+        ids=["dual-sigma", "standard-sigma", "dual-threshold", "standard-threshold", "prior-shape",
+             "go-shift-past-float-range"],
     )
     def test_one_error_line(self, capsys, argv, error):
         with warnings.catch_warnings():
@@ -988,6 +991,37 @@ class TestErrorPaths:
             path.write_text(config)
         code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
         assert (code, out, err.splitlines()[0]) == (2, "", "error: " + error.format(path=path))
+
+
+class TestFilesThatCannotBeUsed:
+    """A path the command cannot write, or a config it cannot decode, is a
+    config error: exit 2 and one error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["oc", "--config", TTE_CONFIGS[0]], "--csv"),
+            (["oc", "--config", TTE_CONFIGS[0]], "--dump-config"),
+            (["decide", "--config", BINARY_CONFIGS[0], "--observed", "5"], "--csv"),
+            (["compare", "--config", TTE_CONFIGS[0], "--config", TTE_CONFIGS[1]], "--csv"),
+        ],
+        ids=["oc-csv", "oc-dump-config", "decide-csv", "compare-csv"],
+    )
+    def test_an_unwritable_output_path(self, capsys, tmp_path, argv, option):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, *argv, option, str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert not path.parent.exists()
+
+    def test_a_config_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(Path(TTE_CONFIGS[0]).read_bytes() + b"# caf\xe9\n")
+        code, out, err = run(capsys, "size", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
 
 
 BINARY_INFEASIBLE = (

@@ -46,7 +46,7 @@ def _full_array_counts(design, effect, cfg, tags=None):
     replicate from nested ``np.where`` (TTE) or a per-count code table
     (binary), then one ``bincount``. TTE replicates take one standard
     normal each, binary replicates one uniform, from the keyed streams.
-    ``tags``, one per responder count, stands in for ``decide_binary``."""
+    ``tags``, one per responder count, stands in for the design's rule."""
     go, nogo, inconclusive = 0, 1, 2
     if isinstance(design, DualCriterionTTEDesign):
         z = _stream(cfg.seed, cfg.scenario, cfg.n_replicates, "standard_normal")
@@ -61,7 +61,7 @@ def _full_array_counts(design, effect, cfg, tags=None):
         )
     else:
         n_trials = design.n
-        if isinstance(design, ThreeOutcomeDesign):
+        if isinstance(design, ThreeOutcomeDesign) and tags is None:
             codes_by_r = np.full(n_trials + 1, inconclusive)
             codes_by_r[design.r_go:] = go
             codes_by_r[: design.r_nogo + 1] = nogo
@@ -367,6 +367,38 @@ class TestRunEdgeCounting:
         if n_replicates == 100_000:
             # the patched table, not the design's own, decided the trials
             assert sim.counts != simulate_binary_oc(BINARY_WITH_INCONCLUSIVE, 0.175, cfg).counts
+
+
+class TestOracleDecidesByTheDesignsRule:
+    """Each simulated trial is decided by the rule the design states, so a
+    patched rule moves the counts exactly as it moves the reference."""
+
+    def test_a_tte_design_never_significant_counts_no_go(self):
+        design = dataclasses.replace(TTE_DESIGN)
+        design.__dict__["criteria"] = lambda hr: (np.zeros(np.shape(hr), dtype=bool), hr <= design.decision_hr)
+        cfg = SimulationConfig(seed=5, n_replicates=100_000, scenario=3)
+        n_go, n_nogo, n_inconclusive = simulate_tte_oc(design, 0.7, cfg).counts
+        assert n_go == 0
+        assert simulate_tte_oc(TTE_DESIGN, 0.7, cfg).counts[0] > 0
+        # every relevant estimate is now inconclusive, every other one NO-GO
+        z = _stream(cfg.seed, cfg.scenario, cfg.n_replicates, "standard_normal")
+        hr = np.exp(math.log(0.7) + design.sigma / math.sqrt(design.n_events) * z)
+        relevant = int(np.count_nonzero(hr <= design.decision_hr))
+        assert (n_nogo, n_inconclusive) == (cfg.n_replicates - relevant, relevant)
+
+    @pytest.mark.parametrize("n_replicates", [1, 8191, 8193, 100_000])
+    def test_a_three_outcome_table_of_many_runs_counts_as_the_full_array_tally(self, n_replicates):
+        design = dataclasses.replace(THREE_OUTCOME)
+        tags = tuple(
+            (DecisionTag.GO, DecisionTag.NOGO, DecisionTag.INCONCLUSIVE)[r % 3] for r in range(design.n + 1)
+        )
+        design.__dict__["decision_table"] = tags  # where cached_property keeps it
+        cfg = SimulationConfig(seed=20240611, n_replicates=n_replicates, scenario=3)
+        sim = simulate_binary_oc(design, 0.175, cfg)
+        assert sim.counts == _full_array_counts(design, 0.175, cfg, tags=tags)
+        if n_replicates == 100_000:
+            # the patched table, not the boundaries, decided the trials
+            assert sim.counts != simulate_binary_oc(THREE_OUTCOME, 0.175, cfg).counts
 
 
 class TestPmfPrefix:

@@ -46,13 +46,29 @@ def test_first_true_matches_a_linear_scan_and_probes_only_its_range():
         (lambda: CutRule(0.0, math.nan, se=0.2), "cut lo must not exceed cut hi, got lo=0.0, hi=nan"),
         (lambda: CutRule(2, 3, n=10, se=0.2), "a cut rule needs exactly one of n and se"),
         (lambda: CutRule(2, 3), "a cut rule needs exactly one of n and se"),
+        # A shift past the float range, or one whose cut overflows to inf.
+        (lambda: CutRule(0.1, 0.2, se=0.1).shifted(10**400),
+         f"the GO cut shifted by {10**400} standard errors is not finite$"),
+        (lambda: CutRule(0.1, 0.2, se=0.1).shifted(-(10**400)),
+         f"the GO cut shifted by {-(10**400)} standard errors is not finite$"),
+        (lambda: CutRule(0.1, 0.2, se=2.0).shifted(10**308),
+         f"the GO cut shifted by {10**308} standard errors is not finite$"),
+        (lambda: CutRule(0.1, 0.2, se=0.1).shifted(math.nan), "the GO cut shifted by nan standard errors"),
     ],
     ids=["crossed", "hi-above-n+1", "lo-negative", "lo-not-whole", "shifted-not-whole",
-         "lo-nan", "normal-crossed", "normal-hi-nan", "both-n-and-se", "neither-n-nor-se"],
+         "lo-nan", "normal-crossed", "normal-hi-nan", "both-n-and-se", "neither-n-nor-se",
+         "shift-past-float-range", "shift-past-float-range-below", "shift-to-inf", "shift-nan"],
 )
 def test_a_bad_cut_is_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build()
+
+
+def test_a_shift_keeps_a_finite_normal_cut_and_clamps_a_binary_one():
+    assert CutRule(0.1, 0.2, se=0.1).shifted(3) == CutRule(0.1, 0.2 + 3 * 0.1, se=0.1)
+    assert CutRule(0.1, 0.2, se=0.1).shifted(-3) == CutRule(0.2 - 3 * 0.1, 0.2 - 3 * 0.1, se=0.1)
+    assert CutRule(2, 3, n=10).shifted(10**400) == CutRule(2, 11, n=10)
+    assert CutRule(2, 3, n=10).shifted(-(10**400)) == CutRule(0, 0, n=10)
 
 
 @pytest.mark.parametrize(

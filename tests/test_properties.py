@@ -95,6 +95,19 @@ def test_three_outcome_oc_is_the_mass_of_its_decisions(design, true_orr):
 
 
 @PROPERTY
+@given(three_outcome_designs())
+def test_three_outcome_decision_table_is_its_three_zones(design):
+    # NO-GO at r <= r_nogo, INCONCLUSIVE strictly between, GO at r >= r_go.
+    table = design.decision_table
+    assert len(table) == design.n + 1
+    assert set(table[: design.r_nogo + 1]) == {DecisionTag.NOGO}
+    assert set(table[design.r_nogo + 1 : design.r_go]) <= {DecisionTag.INCONCLUSIVE}
+    assert table.count(DecisionTag.INCONCLUSIVE) == design.r_go - design.r_nogo - 1
+    assert set(table[design.r_go :]) == {DecisionTag.GO}
+    assert design.decision_table is table  # built once per design
+
+
+@PROPERTY
 @given(binary_designs(), RATES, RATES)
 def test_binary_dual_p_go_nondecreasing_in_orr(design, a, b):
     low, high = sorted((a, b))

@@ -7,6 +7,7 @@ forms by a separate special-function implementation.
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -483,6 +484,26 @@ class TestDecide:
     def test_rejects_nonpositive_estimate(self):
         with pytest.raises(ValueError):
             decide_tte(DESIGN_1, 0.0)
+
+    @pytest.mark.parametrize("n_events", [30, 52, 70])
+    def test_criteria_on_an_array_agree_with_decide_tte_at_each_estimate(self, n_events):
+        import numpy as np
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 30 events is below the minimum
+            design = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, n_events=n_events)
+        thresholds = (design.significance_threshold, design.decision_hr)
+        estimates = np.array(
+            [*thresholds, *(math.nextafter(t, to) for t in thresholds for to in (0.0, math.inf)),
+             0.3, 0.65, 0.72, 0.9, 1.0, 2.5]
+        )
+        significant, relevant = design.criteria(estimates)
+        assert significant.shape == relevant.shape == estimates.shape
+        # Both thresholds are inclusive, elementwise as for one estimate.
+        assert significant[0] and relevant[1]
+        for hr, sig, rel in zip(estimates.tolist(), significant.tolist(), relevant.tolist()):
+            decision = decide_tte(design, hr)
+            assert (decision.significant, decision.relevant) == (sig, rel) == design.criteria(hr)
 
 
 class TestContrastWithStandardDesign:
