@@ -25,6 +25,7 @@ from .config import (
     load_config,
     resolve_design,
 )
+from .distributions import beta_cdf, beta_pdf
 from .oracle import SimulationConfig, monte_carlo_cells
 from .outcomes import OUTCOMES, InfeasibleDesignError
 from .tables import fmt3, render_table, write_csv
@@ -157,8 +158,8 @@ def _caption(rd: ResolvedDesign) -> str:
 
 
 def _print_oc(designs: list[ResolvedDesign], csv_path: str | None, design_column: bool) -> None:
-    """Print each design's OC table over its grid, a blank line between
-    tables, and write every row to ``csv_path`` when given; with
+    """Write every row to ``csv_path`` when given, then print each
+    design's OC table over its grid, a blank line between tables; with
     ``design_column``, each CSV row starts with its table's caption."""
     tables, csv_rows = [], []
     for rd in designs:
@@ -172,9 +173,9 @@ def _print_oc(designs: list[ResolvedDesign], csv_path: str | None, design_column
         tables.append(render_table(caption, headers, [[fmt3(oc.true_effect), *map(fmt3, oc.probs)] for oc in ocs]))
         lead = [caption] if design_column else []
         csv_rows += ([*lead, oc.true_effect, *oc.probs] for oc in ocs)
-    print("\n\n".join(tables))
     if csv_path:
         write_csv(csv_path, (["design"] if design_column else []) + ["true_effect", *OUTCOMES], csv_rows)
+    print("\n\n".join(tables))
 
 
 def cmd_size(args) -> int:
@@ -194,11 +195,14 @@ def cmd_decide(args) -> int:
     rd = resolve_design(cfg)
     if rd.entry.decide is None:
         raise ConfigError(f"decide needs a dual-criterion design ({rd.endpoint})")
-    if args.csv and not rd.entry.posterior_csv:
-        raise ConfigError(
-            "--csv posterior output is only available for binary dual designs"
-        )
-    print("\n".join(rd.entry.decide(rd.design, args.observed, args.csv)))
+    posterior, lines = rd.entry.decide(rd.design, args.observed)
+    if args.csv:
+        if posterior is None:
+            raise ConfigError("--csv posterior output is only available for binary dual designs")
+        # The posterior density and CDF on an interior ORR grid, for plotting.
+        orrs = [(2 * i + 1) / 2000.0 for i in range(1000)]
+        write_csv(args.csv, ["orr", "density", "cdf"], [[x, beta_pdf(posterior, x), beta_cdf(posterior, x)] for x in orrs])
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -20,9 +20,9 @@ from . import binary as binary_mod
 from . import oracle
 from . import three_outcome as three_mod
 from . import tte as tte_mod
-from .distributions import BetaParams, beta_cdf, beta_pdf, std_normal_cdf
+from .distributions import BetaParams, std_normal_cdf
 from .outcomes import Decision
-from .tables import fmt3, fmt_full, write_csv
+from .tables import fmt3, fmt_full
 
 DEFAULT_SEED = 42
 # The run parameters every design kind accepts, which ``ResolvedDesign``
@@ -67,6 +67,25 @@ class ConfigError(ValueError):
     """A config file or override that cannot be turned into a design."""
 
 
+def _number(text: str, integral: bool):
+    """The number ``text`` spells: a float, or with ``integral`` an int,
+    which an integral float such as "4.0e2" also spells. The ValueError
+    names what ``text`` is not: "a number" or "an integer"."""
+    if integral:
+        # int() keeps integers past 2**53 exact, where float() would round them.
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("a number") from None
+    if integral and not value.is_integer():
+        raise ValueError("an integer")
+    return int(value) if integral else value
+
+
 def _parse_scalar(key: str, text: str):
     value_type = _SCHEMA[key]
     if value_type == "str":
@@ -79,22 +98,10 @@ def _parse_scalar(key: str, text: str):
             return [float(piece) for piece in items]
         except ValueError:
             raise ConfigError(f"grid values must be numbers, got {text!r}") from None
-    if value_type == "int":
-        # int() keeps integers past 2**53 exact, where float() would round
-        # them; forms such as "4.0e2" go on to the checks below.
-        try:
-            return int(text)
-        except ValueError:
-            pass
     try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"value for {key!r} must be a number, got {text!r}") from None
-    if value_type == "int":
-        if not value.is_integer():
-            raise ConfigError(f"value for {key!r} must be an integer, got {text!r}")
-        return int(value)
-    return value
+        return _number(text, integral=value_type == "int")
+    except ValueError as exc:
+        raise ConfigError(f"value for {key!r} must be {exc}, got {text!r}") from None
 
 
 def parse_value(key: str, text: str):
@@ -209,9 +216,9 @@ def prior_of(cfg: dict) -> BetaParams:
     raise ConfigError("binary designs need prior_a (or prior_mean), plus prior_b")
 
 
-def _observed(text: str, parse, what: str):
+def _observed(text: str, what: str, integral: bool):
     try:
-        return parse(text)
+        return _number(text, integral)
     except ValueError:
         raise ConfigError(f"--observed must be {what}, got {text!r}") from None
 
@@ -234,15 +241,6 @@ def _precision_line(at: str, sigma: float, n_events: int, level: float) -> str:
     )
 
 
-def _write_posterior_curve(path: str, posterior: BetaParams) -> None:
-    """Posterior density and CDF on an interior ORR grid, for plotting."""
-    rows = []
-    for i in range(1000):
-        orr = (2 * i + 1) / 2000.0
-        rows.append([orr, beta_pdf(posterior, orr), beta_cdf(posterior, orr)])
-    write_csv(path, ["orr", "density", "cdf"], rows)
-
-
 class DesignEntry:
     """What one (endpoint, design_kind) pair provides to the commands.
 
@@ -250,14 +248,14 @@ class DesignEntry:
     ``COMMON_KEYS``; ``build(cfg)``, which returns the design, at its
     derived size when the config gives none; and ``size(cfg, design)``.
     A capability is None where the kind lacks it: ``caption``, the OC
-    table caption of a design with a ``cut_rule``; ``decide``, given a CSV
-    path only if ``posterior_csv``; ``simulate`` for verify. The table
-    heading of the true effect follows from the endpoint, not the entry.
-    Entries call the library through its modules, so a patched module
-    attribute reaches every call.
+    table caption of a design with a ``cut_rule``; ``decide(design,
+    observed)``, which returns the posterior, or None for a design without
+    one, and the lines to print; ``simulate`` for verify. Entries write no
+    files. The table heading of the true effect follows from the endpoint,
+    not the entry. Entries call the library through its modules, so a
+    patched module attribute reaches every call.
     """
 
-    posterior_csv = False
     caption = decide = simulate = None
 
 
@@ -295,12 +293,12 @@ class _TTEDual(DesignEntry):
             f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
         )
 
-    def decide(self, design, observed, csv_path):
-        estimate = _observed(observed, float, "an estimated hazard ratio")
+    def decide(self, design, observed):
+        estimate = _observed(observed, "an estimated hazard ratio", integral=False)
         decision = tte_mod.decide_tte(design, estimate)
         s = design.sigma / math.sqrt(design.n_events)
         p_value = std_normal_cdf((math.log(estimate) - math.log(design.null_hr)) / s)
-        return _decision_lines(
+        return None, _decision_lines(
             decision,
             f"p_value={fmt3(p_value)}, estimate={fmt3(estimate)}",
             f"estimate <= {fmt3(design.significance_threshold)}"
@@ -349,7 +347,6 @@ class _Binary(DesignEntry):
 
 class _BinaryDual(_Binary):
     keys = ("prior_a", "prior_b", "prior_mean", "null_orr", "sig_prob", "decision_orr", "n", "n_max")
-    posterior_csv = True
 
     def build(self, cfg):
         _require_fields(binary_mod.DualCriterionBinaryDesign, cfg, "prior", "n")
@@ -377,13 +374,11 @@ class _BinaryDual(_Binary):
             f"n={d.n}"
         )
 
-    def decide(self, design, observed, csv_path):
-        r = _observed(observed, int, "a responder count")
+    def decide(self, design, observed):
+        r = _observed(observed, "a responder count", integral=True)
         decision = binary_mod.decide_binary(design, r)
         summary = binary_mod.posterior_summary(design, r)
-        if csv_path:
-            _write_posterior_curve(csv_path, summary.posterior)
-        return _decision_lines(
+        return summary.posterior, _decision_lines(
             decision,
             f"prob_positive={fmt3(summary.prob_positive)}, median={fmt3(summary.median)}",
             f"prob_positive >= {fmt_full(design.sig_prob)}",
@@ -418,12 +413,12 @@ class _ThreeOutcome(_Binary):
     def caption(self, d):
         return f"three-outcome (binary): n={d.n}, r_nogo={d.r_nogo}, r_go={d.r_go}"
 
-    def decide(self, design, observed, csv_path):
-        r = _observed(observed, int, "a responder count")
+    def decide(self, design, observed):
+        r = _observed(observed, "a responder count", integral=True)
         if not 0 <= r <= design.n:
             raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
         outcome = design.decision_table[r].value
-        return [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
+        return None, [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
 
 
 DESIGNS: dict[tuple[str, str], DesignEntry] = {

@@ -213,6 +213,10 @@ def beta_cdf(shape: BetaParams, x: float) -> float:
     if x == 1.0:
         return 1.0
     a, b = shape.a, shape.b
+    if x == 0.5 and a == b:
+        # I_{1/2}(a, a) = 1/2 by symmetry, exactly: the continued fraction
+        # would miss by a few ulps either way and split exact median ties.
+        return 0.5
     log_front = (
         math.lgamma(a + b)
         - math.lgamma(a)

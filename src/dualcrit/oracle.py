@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign
-from .distributions import binomial_pmf, check_count
+from .distributions import binomial_pmf, check_count, check_open_probability
 from .outcomes import OUTCOMES, DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -177,8 +177,7 @@ def simulate_binary_oc(
     """
     import numpy as np
 
-    if not 0.0 < true_orr < 1.0:
-        raise ValueError(f"true_orr must lie in (0, 1), got {true_orr}")
+    check_open_probability(true_orr, "true_orr")
     n_trials = design.n
     # One code per responder count, indexing the (GO, NO-GO, inconclusive) tally.
     codes = [_CODE.get(tag, 2) for tag in design.decision_table]

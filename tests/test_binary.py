@@ -219,6 +219,30 @@ class TestGridSearch:
             result = None
         assert result == (expected if expected <= 200 else None)
 
+    # Integer symmetric priors at a decision value of 1/2, where the
+    # posterior median sits exactly at 1/2 whenever r = n / 2. Rounding
+    # once called such a tie not relevant and gave 11 for Beta(1, 1), 0.3.
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("null_orr", ["0.3", "0.4"])
+    @pytest.mark.parametrize("sig_prob", ["0.8", "0.95", "0.975"])
+    def test_symmetric_prior_at_one_half_matches_exact_rationals(self, k, null_orr, sig_prob):
+        n_max = 120
+        p, s = Fraction(null_orr), Fraction(sig_prob)
+        a, b = p.numerator, p.denominator - p.numerator
+        last_failure = 0
+        for n in range(1, n_max + 1):
+            m = 2 * k + n - 1
+            row = [math.comb(m, j) for j in range(m + 1)]
+            # Relevant: I_{1/2}(k + r, k + n - r) = P(Bin(m, 1/2) >= k + r) <= 1/2.
+            r = next(r for r in range(n + 2) if r > n or 2 * sum(row[k + r:]) <= 2**m)
+            # Significant: 1 - I_p(k + r, k + n - r) = P(Bin(m, p) < k + r) >= sig_prob.
+            below = sum(row[j] * a**j * b ** (m - j) for j in range(k + r))
+            if r > n or below * s.denominator < s.numerator * p.denominator**m:
+                last_failure = n
+        assert last_failure < n_max
+        got = min_sample_size_grid(BetaParams(k, k), float(null_orr), float(sig_prob), 0.5, n_max=n_max)
+        assert got == last_failure + 1
+
     def test_weak_statistical_criterion_needs_single_patient(self):
         assert min_sample_size_grid(PRIOR, 0.075, 0.5, 0.175, n_max=50) == 1
 

@@ -3,6 +3,7 @@ config round-trips, CSV output, and exit codes."""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -27,6 +28,7 @@ CLI_BYTES = Path(__file__).resolve().parent / "cli_bytes.json"
 
 TTE_CONFIGS = [str(CONFIGS / f"randomized_tte_design{i}.cfg") for i in range(1, 6)]
 BINARY_CONFIGS = [str(CONFIGS / f"single_arm_binary_design{i}.cfg") for i in range(1, 4)]
+NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -281,11 +283,10 @@ class TestDecide:
         )
         assert code == 2
 
-    def test_observed_wrong_type(self, capsys):
-        code, _, err = run(
-            capsys, "decide", "--config", BINARY_CONFIGS[0], "--observed", "many"
-        )
-        assert code == 2
+    @pytest.mark.parametrize("text", ["many", "5.5", "inf", "nan", "five"])
+    def test_observed_wrong_type(self, capsys, text):
+        code, out, err = run(capsys, "decide", "--config", BINARY_CONFIGS[0], "--observed", text)
+        assert (code, out, err) == (2, "", f"error: --observed must be a responder count, got '{text}'\n")
 
     def test_posterior_curve_csv(self, capsys, tmp_path):
         curve = tmp_path / "posterior.csv"
@@ -303,13 +304,56 @@ class TestDecide:
         # midpoint quadrature over the density column matches the CDF
         total = sum(float(row["density"]) for row in rows) / 1000.0
         assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_posterior_curve_needs_binary_design(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "decide", "--config", TTE_CONFIGS[0],
-            "--observed", "0.9", "--csv", str(tmp_path / "x.csv"),
+        # Every byte of the file is pinned, the full-precision floats included.
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
+            "062d0417a7995d946407916d7b391da1ab5a16f39bd5f3b4bdde40de6ae92e6d"
         )
-        assert code == 2
+
+    @pytest.mark.parametrize(
+        "config,observed,error",
+        [
+            (TTE_CONFIGS[0], "0.9", NO_POSTERIOR_CSV),
+            (BINARY_CONFIGS[2], "4", NO_POSTERIOR_CSV),
+            # The design decides before --csv is refused.
+            (TTE_CONFIGS[0], "five", "error: --observed must be an estimated hazard ratio, got 'five'"),
+            (BINARY_CONFIGS[2], "28", "error: responder count must lie in [0, 27], got 28"),
+        ],
+        ids=["tte-dual", "three-outcome", "tte-bad-observed", "three-outcome-bad-observed"],
+    )
+    def test_posterior_curve_needs_binary_design(self, capsys, tmp_path, config, observed, error):
+        path = tmp_path / "posterior.csv"
+        code, out, err = run(capsys, "decide", "--config", config, "--observed", observed, "--csv", str(path))
+        assert (code, out, err) == (2, "", error + "\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "config,count,spelling",
+        [(BINARY_CONFIGS[0], "5", "5.0"), (BINARY_CONFIGS[0], "5", "5e0"), (BINARY_CONFIGS[2], "4", "4.0")],
+        ids=["dual-5.0", "dual-5e0", "three-outcome-4.0"],
+    )
+    def test_a_count_may_be_written_as_any_integral_number(self, capsys, config, count, spelling):
+        # The number rule of the config, where --set n=25.0 is a size.
+        written = run(capsys, "decide", "--config", config, "--observed", spelling)
+        assert written == run(capsys, "decide", "--config", config, "--observed", count)
+        assert written[0] == 0
+
+    # Prior Beta(1, 1) with r = n / 2 gives a posterior Beta(a, a), whose
+    # median is exactly the decision value 1/2: an inclusive rule meets it.
+    @pytest.mark.parametrize(
+        "n,r,verdict",
+        [("8", "4", "GO: prob_positive=0.980, median=0.500"),
+         ("4", "2", "INCONCLUSIVE (case 4): prob_positive=0.942, median=0.500")],
+        ids=["n8-r4", "n4-r2"],
+    )
+    def test_an_exact_median_tie_meets_the_clinical_criterion(self, capsys, n, r, verdict):
+        overrides = ["prior_a=1", "prior_b=1", "null_orr=0.2", "decision_orr=0.5", f"n={n}"]
+        code, out, _ = run(
+            capsys, "decide", "--config", BINARY_CONFIGS[0], "--observed", r,
+            *(arg for item in overrides for arg in ("--set", item)),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert (lines[0], lines[2]) == (verdict, "clinical criterion: median >= 0.5 -> met")
 
 
 # The commands whose full output ``cli_bytes.json`` pins for every shipped
@@ -679,7 +723,6 @@ class TestVerifyGateOnConfigs:
         assert (code, err) == (4, ""), out
 
 
-NO_POSTERIOR_CSV = "error: --csv posterior output is only available for binary dual designs"
 DECIDE_NEEDS_DUAL = "error: decide needs a dual-criterion design (tte)"
 PASS, FAIL = (0, ""), (4, "")
 
@@ -1009,8 +1052,8 @@ class TestFilesThatCannotBeUsed:
     )
     def test_an_unwritable_output_path(self, capsys, tmp_path, argv, option):
         path = tmp_path / "missing" / "out.txt"
-        code, _, err = run(capsys, *argv, option, str(path))
-        assert code == 2
+        code, out, err = run(capsys, *argv, option, str(path))
+        assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
         assert not path.parent.exists()

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc as scipy_betainc
 from scipy.special import ndtri
 from scipy.stats import beta as scipy_beta_dist
@@ -283,6 +285,17 @@ class TestBetaCdf:
         assert beta_cdf(BetaParams(2, 3), 0.5) == pytest.approx(float(expected), abs=1e-12)
         more = integer_shape_beta_cdf(4, 7, Fraction(3, 10))
         assert beta_cdf(BetaParams(4, 7), 0.3) == pytest.approx(float(more), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(st.integers(1, 100_000), st.floats(1e-3, 1e5)))
+    @example(3)
+    @example(5.0)
+    @example(10)
+    def test_symmetric_shapes_split_at_one_half_exactly(self, a):
+        # I_{1/2}(a, a) = 1/2 by symmetry. The continued fraction alone
+        # misses by a few ulps either way, which decides an exact median
+        # tie at a decision value of 1/2 by rounding.
+        assert beta_cdf(BetaParams(a, a), 0.5) == 0.5
 
     def test_endpoints(self):
         shape = BetaParams(0.0811, 1.0)

@@ -290,6 +290,15 @@ class TestSimulateBinary:
         with pytest.raises(ValueError):
             simulate_binary_oc(BINARY_DESIGN, 1.0, SimulationConfig(seed=1, n_replicates=1000))
 
+    @pytest.mark.parametrize("true_orr", [0.0, 1.0, math.nan, 1.5])
+    @pytest.mark.parametrize("design", [BINARY_DESIGN, THREE_OUTCOME], ids=["dual", "three-outcome"])
+    def test_refuses_a_true_orr_as_the_analytic_oc_does(self, design, true_orr):
+        with pytest.raises(ValueError) as analytic:
+            design.cut_rule.oc(true_orr)
+        with pytest.raises(ValueError) as simulated:
+            simulate_binary_oc(design, true_orr, SimulationConfig(seed=1, n_replicates=1000))
+        assert str(simulated.value) == str(analytic.value)
+
     def test_decision_table_is_built_once_per_design(self, monkeypatch):
         calls = []
         monkeypatch.setattr(binary, "decide_binary", lambda *args: calls.append(args) or decide_binary(*args))
