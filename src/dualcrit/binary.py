@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .distributions import BetaParams, beta_cdf, beta_quantile, check_open_probability, check_trials
+from .distributions import BetaParams, beta_cdf, beta_quantile, check_integer, check_open_probability, check_positive, check_trials
 from .outcomes import CutRule, Decision, DecisionTag, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 1000
@@ -75,16 +75,8 @@ class PosteriorSummary:
 def prior_from_mean(mean: float, b: float = 1.0) -> BetaParams:
     """Beta prior with the given mean and second shape parameter b."""
     mean = check_open_probability(mean, "mean")
-    if not b > 0.0:
-        raise ValueError(f"b must be positive, got {b}")
+    check_positive(b, "b")
     return BetaParams(a=b * mean / (1.0 - mean), b=b)
-
-
-def _check_responders(design: DualCriterionBinaryDesign, r: int) -> int:
-    # The range check comes first: int() of an infinity or a NaN raises.
-    if not 0 <= r <= design.n or r != int(r):
-        raise ValueError(f"responder count must be an integer in [0, {design.n}], got {r}")
-    return int(r)
 
 
 def _posterior(prior: BetaParams, n: int, r: int) -> BetaParams:
@@ -103,7 +95,7 @@ def _relevant(prior: BetaParams, decision_orr: float, n: int, r: int) -> bool:
 
 def posterior_summary(design: DualCriterionBinaryDesign, r: int) -> PosteriorSummary:
     """Posterior shape, probability of a positive effect, and median ORR."""
-    r = _check_responders(design, r)
+    r = check_integer(r, "responder count", design.n)
     post = _posterior(design.prior, design.n, r)
     return PosteriorSummary(
         posterior=post,
@@ -136,7 +128,7 @@ def min_responders(design: DualCriterionBinaryDesign) -> int | None:
 
 def decide_binary(design: DualCriterionBinaryDesign, r: int) -> Decision:
     """Classify an observed responder count. Both inequalities are inclusive."""
-    r = _check_responders(design, r)
+    r = check_integer(r, "responder count", design.n)
     return Decision(
         significant=_significant(
             design.prior, design.null_orr, design.sig_prob, design.n, r

@@ -20,7 +20,7 @@ from . import binary as binary_mod
 from . import oracle
 from . import three_outcome as three_mod
 from . import tte as tte_mod
-from .distributions import BetaParams, std_normal_cdf
+from .distributions import BetaParams, check_integer, std_normal_cdf
 from .outcomes import Decision
 from .tables import fmt3, fmt_full
 
@@ -415,9 +415,7 @@ class _ThreeOutcome(_Binary):
 
     def decide(self, design, observed):
         r = _observed(observed, "a responder count", integral=True)
-        if not 0 <= r <= design.n:
-            raise ConfigError(f"responder count must lie in [0, {design.n}], got {r}")
-        outcome = design.decision_table[r].value
+        outcome = design.decision_table[check_integer(r, "responder count", design.n)].value
         return None, [f"{outcome}: r={r} (NO-GO at r <= {design.r_nogo}, GO at r >= {design.r_go})"]
 
 

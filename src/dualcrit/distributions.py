@@ -45,10 +45,8 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"beta shape a must be positive, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"beta shape b must be positive, got {self.b}")
+        check_positive(self.a, "beta shape a")
+        check_positive(self.b, "beta shape b")
         if max(self.a, self.b) > _MAX_SHAPE:
             raise ValueError(
                 f"beta shapes must be at most {_MAX_SHAPE:g}, got ({self.a}, {self.b})"
@@ -73,6 +71,22 @@ def check_open_probability(value: float, name: str = "probability") -> float:
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
     return value
+
+
+def check_positive(value: float, name: str) -> float:
+    """Validate that ``value`` is positive and finite and return it as a float."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_integer(value, name: str, most: int) -> int:
+    """Validate an integer in [0, most] and return it as an int. The range
+    is checked first: int() of an infinity or a NaN raises."""
+    if not 0 <= value <= most or value != int(value):
+        raise ValueError(f"{name} must be an integer in [0, {most}], got {value}")
+    return int(value)
 
 
 def check_count(value, name: str, least: int = 1) -> int:
@@ -132,8 +146,7 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
     """P(R = k) for R ~ Binomial(n, p), evaluated in log space."""
     check_count(n, "number of trials")
     p = check_probability(p, "success probability")
-    if not 0 <= k <= n or k != int(k):
-        raise ValueError(f"k must be an integer in [0, {n}], got {k}")
+    check_integer(k, "k", n)
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -153,8 +166,7 @@ def binomial_tail(n: int, p: float, r: int) -> float:
     """
     check_trials(n, "number of trials")
     p = check_probability(p, "success probability")
-    if not 0 <= r <= n + 1 or r != int(r):
-        raise ValueError(f"r must be an integer in [0, {n + 1}], got {r}")
+    check_integer(r, "r", n + 1)
     if r == 0:
         return 1.0
     if r == n + 1:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign
-from .distributions import binomial_pmf, check_count, check_open_probability
+from .distributions import binomial_pmf, check_count, check_open_probability, check_positive
 from .outcomes import OUTCOMES, DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -150,8 +150,7 @@ def simulate_tte_oc(
     import numpy as np
 
     # As the analytic OC: an infinite or NaN HR is refused, not simulated.
-    if not (math.isfinite(true_hr) and true_hr > 0.0):
-        raise ValueError(f"true_hr must be positive, got {true_hr}")
+    check_positive(true_hr, "true_hr")
     s = design.sigma / math.sqrt(design.n_events)
 
     def decide(gen, size):

@@ -132,9 +132,7 @@ class CutRule:
             raise ValueError(f"cut lo must not exceed cut hi, got lo={self.lo}, hi={self.hi}")
         if self.n is not None:
             for name in ("lo", "hi"):
-                cut = getattr(self, name)
-                if not 0 <= cut <= self.n + 1 or cut != int(cut):
-                    raise ValueError(f"cut {name} must be a whole number in [0, {self.n + 1}], got {cut}")
+                distributions.check_integer(getattr(self, name), f"cut {name}", self.n + 1)
 
     def oc(self, true_effect: float) -> OperatingCharacteristics:
         """Outcome probabilities at a true response rate or hazard ratio:
@@ -146,11 +144,10 @@ class CutRule:
             true_effect = distributions.check_open_probability(true_effect, "true_orr")
             mean = self.n * true_effect
             upper, lower = responder_tails(self.n, true_effect)
-        elif math.isfinite(true_effect) and true_effect > 0.0:
-            mean, se, cdf = -math.log(true_effect), self.se, distributions.std_normal_cdf
-            upper, lower = (lambda c: cdf((mean - c) / se)), (lambda c: cdf((c - mean) / se))
         else:
-            raise ValueError(f"true_hr must be positive, got {true_effect}")
+            mean = -math.log(distributions.check_positive(true_effect, "true_hr"))
+            se, cdf = self.se, distributions.std_normal_cdf
+            upper, lower = (lambda c: cdf((mean - c) / se)), (lambda c: cdf((c - mean) / se))
         p_go, p_nogo = upper(self.hi), lower(self.lo)
         if mean <= self.lo:
             between = upper(self.lo) - p_go

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .distributions import check_count, std_normal_quantile
+from .distributions import check_count, check_open_probability, check_positive, std_normal_quantile
 from .outcomes import CutRule, Decision, OperatingCharacteristics
 
 DEFAULT_SIGMA = 2.0
@@ -55,17 +55,9 @@ def _check_events(n_events: float) -> None:
 def _check_level(level: float) -> None:
     """A two-sided confidence level in (0, 1) whose upper tail point
     (1 + level) / 2 is distinct from 1 in a double."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    check_open_probability(level, "level")
     if 0.5 * (1.0 + level) == 1.0:
         raise ValueError(f"level must be at most 1 - 2**-52, got {level}")
-
-
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 def _squared(root: float) -> float:
@@ -144,13 +136,13 @@ class StandardTTEDesign:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_alpha(self.beta, "beta")
-        _check_positive(self.null_hr, "null_hr")
-        _check_positive(self.alt_hr, "alt_hr")
+        check_positive(self.null_hr, "null_hr")
+        check_positive(self.alt_hr, "alt_hr")
         if self.alt_hr >= self.null_hr:
             raise ValueError(
                 f"alt_hr must be below null_hr, got {self.alt_hr} >= {self.null_hr}"
             )
-        _check_positive(self.sigma, "sigma")
+        check_positive(self.sigma, "sigma")
         if self.n_events is None:
             z_a = -std_normal_quantile(self.alpha)
             z_b = -std_normal_quantile(self.beta)
@@ -187,7 +179,7 @@ class PrecisionTTEDesign:
         if not (math.isfinite(self.factor) and self.factor > 1.0):
             raise ValueError(f"factor must exceed 1, got {self.factor}")
         _check_level(self.level)
-        _check_positive(self.sigma, "sigma")
+        check_positive(self.sigma, "sigma")
 
 
 def min_events_dual(
@@ -197,9 +189,9 @@ def min_events_dual(
     the decision value, so that clinical relevance implies significance.
     """
     alpha = _check_alpha(alpha)
-    _check_positive(null_hr, "null_hr")
-    _check_positive(decision_hr, "decision_hr")
-    _check_positive(sigma, "sigma")
+    check_positive(null_hr, "null_hr")
+    check_positive(decision_hr, "decision_hr")
+    check_positive(sigma, "sigma")
     if decision_hr >= null_hr:
         raise ValueError(f"decision_hr must be below null_hr, got {decision_hr} >= {null_hr}")
     z = -std_normal_quantile(alpha)
@@ -212,8 +204,8 @@ def significance_threshold(
 ) -> float:
     """Largest estimated HR that is still one-sided significant at alpha."""
     alpha = _check_alpha(alpha)
-    _check_positive(null_hr, "null_hr")
-    _check_positive(sigma, "sigma")
+    check_positive(null_hr, "null_hr")
+    check_positive(sigma, "sigma")
     _check_events(n_events)
     z = -std_normal_quantile(alpha)
     threshold = null_hr * math.exp(-z * sigma / math.sqrt(n_events))
@@ -247,7 +239,7 @@ def implied_precision_factor(
     Convenience output for comparing designs: the interval at the stated
     confidence level is (estimate / f, estimate * f).
     """
-    _check_positive(sigma, "sigma")
+    check_positive(sigma, "sigma")
     _check_events(n_events)
     _check_level(level)
     z = -std_normal_quantile(0.5 * (1.0 - level))
@@ -289,5 +281,5 @@ def oc_standard_tte(
 
 def decide_tte(design: DualCriterionTTEDesign, estimated_hr: float) -> Decision:
     """Classify an observed HR estimate by the design's ``criteria``."""
-    _check_positive(estimated_hr, "estimated_hr")
+    check_positive(estimated_hr, "estimated_hr")
     return Decision(*design.criteria(estimated_hr))

@@ -7,6 +7,7 @@ scan for the minimum sample size.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestPriorFromMean:
 
     @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
     def test_rejects_a_second_shape_that_is_not_positive(self, b):
-        with pytest.raises(ValueError, match=f"^b must be positive, got {b}$"):
+        with pytest.raises(ValueError, match=f"^b must be positive and finite, got {b}$"):
             prior_from_mean(0.2, b=b)
 
 
@@ -408,6 +409,15 @@ class TestDecide:
             decide_binary(make_design(25), 26)
         with pytest.raises(ValueError):
             decide_binary(make_design(25), -1)
+
+    @pytest.mark.parametrize("n,r", [(25, 4), (25, 5), (36, 6)])
+    def test_a_posterior_probability_equal_to_sig_prob_is_significant(self, n, r):
+        # The statistical criterion is inclusive: at sig_prob set to the
+        # posterior probability itself, r is significant and is the
+        # statistical boundary.
+        tied = replace(make_design(n), sig_prob=posterior_summary(make_design(n), r).prob_positive)
+        assert decide_binary(tied, r).significant
+        assert statistical_boundary(tied) == r
 
 
 @pytest.mark.parametrize("value", [2.5, math.inf, -math.inf, math.nan])

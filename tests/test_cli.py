@@ -316,7 +316,7 @@ class TestDecide:
             (BINARY_CONFIGS[2], "4", NO_POSTERIOR_CSV),
             # The design decides before --csv is refused.
             (TTE_CONFIGS[0], "five", "error: --observed must be an estimated hazard ratio, got 'five'"),
-            (BINARY_CONFIGS[2], "28", "error: responder count must lie in [0, 27], got 28"),
+            (BINARY_CONFIGS[2], "28", "error: responder count must be an integer in [0, 27], got 28"),
         ],
         ids=["tte-dual", "three-outcome", "tte-bad-observed", "three-outcome-bad-observed"],
     )
@@ -837,9 +837,17 @@ class TestExtremeMagnitudes:
             (["size", "--config", TTE_CONFIGS[0], "--set", "level=0.9999999999999999"],
              "level must be at most 1 - 2**-52, got 0.9999999999999999"),
             (["size", "--config", TTE_CONFIGS[0], "--set", "level=1.5"],
-             "level must lie in (0, 1), got 1.5"),
+             "level must lie strictly in (0, 1), got 1.5"),
+            # An infinite input is not positive and finite.
+            (["decide", "--config", TTE_CONFIGS[0], "--observed", "inf"],
+             "estimated_hr must be positive and finite, got inf"),
+            (["oc", "--config", TTE_CONFIGS[0], "--grid", "inf"], "true_hr must be positive and finite, got inf"),
+            (["size", "--config", TTE_CONFIGS[0], "--set", "sigma=inf"], "sigma must be positive and finite, got inf"),
+            (["size", "--config", BINARY_CONFIGS[0], "--set", "prior_b=inf"],
+             "beta shape b must be positive and finite, got inf"),
         ],
-        ids=["dual-events", "binary-n", "standard-events", "alpha", "beta", "level", "level-above-1"],
+        ids=["dual-events", "binary-n", "standard-events", "alpha", "beta", "level", "level-above-1",
+             "observed-inf", "grid-inf", "sigma-inf", "prior-b-inf"],
     )
     def test_input_past_the_bound_of_its_formula(self, capsys, argv, error):
         # Sizes past the float range used to end in an OverflowError, and
@@ -1019,7 +1027,7 @@ class TestErrorPaths:
              "binary designs need prior_a (or prior_mean), plus prior_b"),
             (["size"], without_keys(BINARY_CONFIGS[2], "r_go"),
              "three_outcome designs need either all of n, r_go, r_nogo or none"),
-            (["decide", "--observed", "28"], BINARY_CONFIGS[2], "responder count must lie in [0, 27], got 28"),
+            (["decide", "--observed", "28"], BINARY_CONFIGS[2], "responder count must be an integer in [0, 27], got 28"),
             (["compare", "--config", str(CONFIGS / "oc_curve_n309.cfg")], TTE_CONFIGS[0],
              "compare needs the same true-effect grid for every design"),
         ],

@@ -7,6 +7,7 @@ mpmath where it is installed.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.stats import beta as scipy_beta_dist
 from scipy.stats import binom as scipy_binom
 from scipy.stats import norm as scipy_norm
 
+from dualcrit.binary import prior_from_mean
 from dualcrit.distributions import (
     BetaParams,
     beta_cdf,
@@ -27,10 +29,21 @@ from dualcrit.distributions import (
     binomial_pmf,
     binomial_tail,
     check_count,
+    check_positive,
     std_normal_cdf,
     std_normal_quantile,
 )
+from dualcrit.oracle import SimulationConfig, simulate_tte_oc
 from dualcrit.outcomes import CutRule
+from dualcrit.tte import (
+    DualCriterionTTEDesign,
+    PrecisionTTEDesign,
+    StandardTTEDesign,
+    decide_tte,
+    implied_precision_factor,
+    min_events_dual,
+    significance_threshold,
+)
 
 
 def erf_series(x: float) -> float:
@@ -68,6 +81,50 @@ class TestCheckCount:
     def test_binomial_trials_share_it(self):
         with pytest.raises(ValueError, match=r"number of trials must be at most 2\*\*53"):
             binomial_pmf(2**53 + 1, 0.5, 0)
+
+
+# Every input of the public API that must be positive and finite, as
+# (name in the message, call with the input set to the value).
+_TTE_DESIGN = DualCriterionTTEDesign(alpha=0.1, decision_hr=0.7, n_events=52)
+POSITIVE_INPUTS = {
+    "DualCriterionTTEDesign.decision_hr": ("decision_hr", lambda v: DualCriterionTTEDesign(0.1, v)),
+    "DualCriterionTTEDesign.null_hr": ("null_hr", lambda v: DualCriterionTTEDesign(0.1, 0.7, null_hr=v)),
+    "DualCriterionTTEDesign.sigma": ("sigma", lambda v: DualCriterionTTEDesign(0.1, 0.7, sigma=v)),
+    "StandardTTEDesign.alt_hr": ("alt_hr", lambda v: StandardTTEDesign(0.1, 0.1, v)),
+    "StandardTTEDesign.null_hr": ("null_hr", lambda v: StandardTTEDesign(0.1, 0.1, 0.5, null_hr=v)),
+    "StandardTTEDesign.sigma": ("sigma", lambda v: StandardTTEDesign(0.1, 0.1, 0.5, sigma=v)),
+    "PrecisionTTEDesign.sigma": ("sigma", lambda v: PrecisionTTEDesign(1.5, sigma=v)),
+    "min_events_dual.null_hr": ("null_hr", lambda v: min_events_dual(0.1, v, 0.7)),
+    "min_events_dual.decision_hr": ("decision_hr", lambda v: min_events_dual(0.1, 1.0, v)),
+    "min_events_dual.sigma": ("sigma", lambda v: min_events_dual(0.1, 1.0, 0.7, v)),
+    "significance_threshold.null_hr": ("null_hr", lambda v: significance_threshold(0.1, v, 2.0, 52)),
+    "significance_threshold.sigma": ("sigma", lambda v: significance_threshold(0.1, 1.0, v, 52)),
+    "implied_precision_factor.sigma": ("sigma", lambda v: implied_precision_factor(v, 52)),
+    "decide_tte.estimated_hr": ("estimated_hr", lambda v: decide_tte(_TTE_DESIGN, v)),
+    "BetaParams.a": ("beta shape a", lambda v: BetaParams(v, 1.0)),
+    "BetaParams.b": ("beta shape b", lambda v: BetaParams(1.0, v)),
+    "prior_from_mean.b": ("b", lambda v: prior_from_mean(0.2, b=v)),
+    "CutRule.oc.true_hr": ("true_hr", lambda v: CutRule(0.1, 0.2, se=0.2).oc(v)),
+    "simulate_tte_oc.true_hr": (
+        "true_hr", lambda v: simulate_tte_oc(_TTE_DESIGN, v, SimulationConfig(seed=1, n_replicates=10))
+    ),
+}
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [2**-1074, 0.7, 1, 1e308])
+    def test_accepts_positive_finite_values_as_floats(self, value):
+        assert check_positive(value, "x") == value
+        assert isinstance(check_positive(value, "x"), float)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("case", list(POSITIVE_INPUTS))
+    def test_every_public_input_states_the_rule(self, case, value):
+        # inf and nan used to be refused as "must be positive", or, for
+        # prior_from_mean's b, blamed on the first beta shape.
+        name, call = POSITIVE_INPUTS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be positive and finite, got {value}$"):
+            call(value)
 
 
 class TestStdNormalCdf:

@@ -214,7 +214,7 @@ class TestSimulateTTE:
     @pytest.mark.parametrize("true_hr", [math.inf, math.nan])
     def test_rejects_a_non_finite_true_hr_as_the_analytic_side_does(self, true_hr):
         # an infinite HR used to simulate as all NO-GO
-        message = f"^true_hr must be positive, got {true_hr}$"
+        message = f"^true_hr must be positive and finite, got {true_hr}$"
         with pytest.raises(ValueError, match=message):
             oc_dual_tte(TTE_DESIGN, true_hr)
         with pytest.raises(ValueError, match=message):

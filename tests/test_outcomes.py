@@ -37,10 +37,10 @@ def test_first_true_matches_a_linear_scan_and_probes_only_its_range():
     "build,message",
     [
         (lambda: CutRule(3, 2, n=10), "cut lo must not exceed cut hi, got lo=3, hi=2"),
-        (lambda: CutRule(0, 12, n=10), r"cut hi must be a whole number in \[0, 11\], got 12"),
-        (lambda: CutRule(-1, 3, n=10), r"cut lo must be a whole number in \[0, 11\], got -1"),
-        (lambda: CutRule(2.5, 3, n=10), r"cut lo must be a whole number in \[0, 11\], got 2.5"),
-        (lambda: CutRule(2, 3, n=10).shifted(0.5), r"cut hi must be a whole number in \[0, 11\], got 3.5"),
+        (lambda: CutRule(0, 12, n=10), r"cut hi must be an integer in \[0, 11\], got 12"),
+        (lambda: CutRule(-1, 3, n=10), r"cut lo must be an integer in \[0, 11\], got -1"),
+        (lambda: CutRule(2.5, 3, n=10), r"cut lo must be an integer in \[0, 11\], got 2.5"),
+        (lambda: CutRule(2, 3, n=10).shifted(0.5), r"cut hi must be an integer in \[0, 11\], got 3.5"),
         (lambda: CutRule(math.nan, 3, n=10), "cut lo must not exceed cut hi, got lo=nan, hi=3"),
         (lambda: CutRule(0.5, -0.5, se=0.2), "cut lo must not exceed cut hi, got lo=0.5, hi=-0.5"),
         (lambda: CutRule(0.0, math.nan, se=0.2), "cut lo must not exceed cut hi, got lo=0.0, hi=nan"),

@@ -365,7 +365,7 @@ class TestInputBounds:
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
     def test_level_outside_the_unit_interval_rejected(self, level):
-        with pytest.raises(ValueError, match=f"^level must lie in \\(0, 1\\), got {level}$"):
+        with pytest.raises(ValueError, match=f"^level must lie strictly in \\(0, 1\\), got {level}$"):
             implied_precision_factor(2.0, 100, level)
 
     def test_a_factor_past_the_largest_double_is_a_value_error(self):
