@@ -18,7 +18,6 @@ import sys
 import warnings
 
 from .config import (
-    ConfigError,
     ResolvedDesign,
     apply_overrides,
     dump_config,
@@ -149,7 +148,7 @@ def _effective_config(args, path: str) -> dict:
 
 def _require_grid(rd: ResolvedDesign) -> list[float]:
     if not rd.grid:
-        raise ConfigError("this command needs a true-effect grid (key 'grid' or --grid)")
+        raise ValueError("this command needs a true-effect grid (key 'grid' or --grid)")
     return rd.grid
 
 
@@ -166,7 +165,7 @@ def _print_oc(designs: list[ResolvedDesign], csv_path: str | None, design_column
         grid = _require_grid(rd)
         rule = getattr(rd.design, "cut_rule", None)
         if rule is None:
-            raise ConfigError(f"operating characteristics are not defined for {rd.kind} designs")
+            raise ValueError(f"operating characteristics are not defined for {rd.kind} designs")
         ocs = [rule.oc(true_effect) for true_effect in grid]
         caption = _caption(rd)
         headers = [EFFECT_COLUMN[rd.endpoint], *OUTCOMES]
@@ -194,11 +193,11 @@ def cmd_decide(args) -> int:
     cfg = _effective_config(args, args.config)
     rd = resolve_design(cfg)
     if rd.entry.decide is None:
-        raise ConfigError(f"decide needs a dual-criterion design ({rd.endpoint})")
+        raise ValueError(f"decide needs a dual-criterion design ({rd.endpoint})")
     posterior, lines = rd.entry.decide(rd.design, args.observed)
     if args.csv:
         if posterior is None:
-            raise ConfigError("--csv posterior output is only available for binary dual designs")
+            raise ValueError("--csv posterior output is only available for binary dual designs")
         # The posterior density and CDF on an interior ORR grid, for plotting.
         orrs = [(2 * i + 1) / 2000.0 for i in range(1000)]
         write_csv(args.csv, ["orr", "density", "cdf"], [[x, beta_pdf(posterior, x), beta_cdf(posterior, x)] for x in orrs])
@@ -208,14 +207,14 @@ def cmd_decide(args) -> int:
 
 def cmd_compare(args) -> int:
     if len(args.config) < 2:
-        raise ConfigError("compare needs at least two --config files")
+        raise ValueError("compare needs at least two --config files")
     resolved = [resolve_design(_effective_config(args, path)) for path in args.config]
     endpoints = {rd.endpoint for rd in resolved}
     if len(endpoints) > 1:
-        raise ConfigError(f"compare needs a single endpoint, got {sorted(endpoints)}")
+        raise ValueError(f"compare needs a single endpoint, got {sorted(endpoints)}")
     grids = {tuple(_require_grid(rd)) for rd in resolved}
     if len(grids) > 1:
-        raise ConfigError("compare needs the same true-effect grid for every design")
+        raise ValueError("compare needs the same true-effect grid for every design")
     _print_oc(resolved, args.csv, design_column=True)
     return EXIT_OK
 
@@ -224,11 +223,9 @@ def cmd_verify(args) -> int:
     rd = resolve_design(_effective_config(args, args.config))
     grid = _require_grid(rd)
     if rd.reps < MIN_REPORTED_REPLICATES:
-        raise ConfigError(
-            f"verify needs at least {MIN_REPORTED_REPLICATES} replicates, got {rd.reps}"
-        )
+        raise ValueError(f"verify needs at least {MIN_REPORTED_REPLICATES} replicates, got {rd.reps}")
     if rd.entry.simulate is None:
-        raise ConfigError(f"verify is not defined for {rd.kind} designs")
+        raise ValueError(f"verify is not defined for {rd.kind} designs")
     rule = rd.design.cut_rule.shifted(args.corrupt_go_boundary)
 
     rows = []
@@ -266,7 +263,7 @@ def main(argv=None) -> int:
         except InfeasibleDesignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
 

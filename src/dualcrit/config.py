@@ -63,10 +63,6 @@ _SCHEMA: dict[str, str] = {
 }
 
 
-class ConfigError(ValueError):
-    """A config file or override that cannot be turned into a design."""
-
-
 def _number(text: str, integral: bool):
     """The number ``text`` spells: a float, or with ``integral`` an int,
     which an integral float such as "4.0e2" also spells. The ValueError
@@ -93,20 +89,20 @@ def _parse_scalar(key: str, text: str):
     if value_type == "grid":
         items = [piece.strip() for piece in text.split(",") if piece.strip()]
         if not items:
-            raise ConfigError(f"grid must list at least one value, got {text!r}")
+            raise ValueError(f"grid must list at least one value, got {text!r}")
         try:
             return [float(piece) for piece in items]
         except ValueError:
-            raise ConfigError(f"grid values must be numbers, got {text!r}") from None
+            raise ValueError(f"grid values must be numbers, got {text!r}") from None
     try:
         return _number(text, integral=value_type == "int")
     except ValueError as exc:
-        raise ConfigError(f"value for {key!r} must be {exc}, got {text!r}") from None
+        raise ValueError(f"value for {key!r} must be {exc}, got {text!r}") from None
 
 
 def parse_value(key: str, text: str):
     if key not in _SCHEMA:
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ValueError(f"unknown config key {key!r}")
     return _parse_scalar(key, text.strip())
 
 
@@ -118,18 +114,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in first_line:
-            raise ConfigError(
-                f"{source}:{lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
-            )
+            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}, first set on line {first_line[key]}")
         first_line[key] = lineno
         try:
             cfg[key] = parse_value(key, value)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
     return cfg
 
 
@@ -138,7 +132,7 @@ def load_config(path: str | Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 
 
@@ -150,20 +144,23 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     overrides = {}
     for item in assignments:
         if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
+            raise ValueError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
         if key in overrides:
-            raise ConfigError(f"{key!r} may be overridden only once")
+            raise ValueError(f"{key!r} may be overridden only once")
         overrides[key] = parse_value(key, value)
     if overrides.keys() - RUN_KEYS:
         cfg = {key: value for key, value in cfg.items() if key != "label"}
     return {**cfg, **overrides}
 
 
-def _format_value(key: str, value) -> str:
-    if _SCHEMA[key] == "grid":
+def _format_value(value) -> str:
+    """A config value as ``dump_config`` writes it and a caption shows it."""
+    if isinstance(value, list):  # a grid
         return ", ".join(repr(float(v)) for v in value)
+    if isinstance(value, BetaParams):
+        return f"Beta({_format_value(value.a)}, {_format_value(value.b)})"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -171,21 +168,17 @@ def _format_value(key: str, value) -> str:
 
 def dump_config(cfg: dict, path: str | Path) -> None:
     """Write the effective config so it re-parses to the identical design."""
-    lines = [
-        f"{key} = {_format_value(key, cfg[key])}" for key in _SCHEMA if key in cfg
-    ]
+    lines = [f"{key} = {_format_value(cfg[key])}" for key in _SCHEMA if key in cfg]
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _require(cfg: dict, *keys: str) -> None:
     missing = [key for key in keys if key not in cfg]
     if missing:
-        raise ConfigError(
-            f"missing required key(s) for this design: {', '.join(missing)}"
-        )
+        raise ValueError(f"missing required key(s) for this design: {', '.join(missing)}")
 
 
 def _require_fields(make, cfg: dict, *given: str) -> None:
@@ -208,19 +201,19 @@ def _build(make, cfg: dict, **given):
 def prior_of(cfg: dict) -> BetaParams:
     b = cfg.get("prior_b", 1.0)
     if "prior_a" in cfg and "prior_mean" in cfg:
-        raise ConfigError("give prior_a or prior_mean, not both")
+        raise ValueError("give prior_a or prior_mean, not both")
     if "prior_a" in cfg:
         return BetaParams(a=cfg["prior_a"], b=b)
     if "prior_mean" in cfg:
         return binary_mod.prior_from_mean(cfg["prior_mean"], b=b)
-    raise ConfigError("binary designs need prior_a (or prior_mean), plus prior_b")
+    raise ValueError("binary designs need prior_a (or prior_mean), plus prior_b")
 
 
 def _observed(text: str, what: str, integral: bool):
     try:
         return _number(text, integral)
     except ValueError:
-        raise ConfigError(f"--observed must be {what}, got {text!r}") from None
+        raise ValueError(f"--observed must be {what}, got {text!r}") from None
 
 
 def _decision_lines(decision: Decision, values: str, statistical: str, clinical: str) -> list[str]:
@@ -244,26 +237,38 @@ def _precision_line(at: str, sigma: float, n_events: int, level: float) -> str:
 class DesignEntry:
     """What one (endpoint, design_kind) pair provides to the commands.
 
-    Every entry has ``keys``, the config keys it reads beyond
-    ``COMMON_KEYS``; ``build(cfg)``, which returns the design, at its
-    derived size when the config gives none; and ``size(cfg, design)``.
-    A capability is None where the kind lacks it: ``caption``, the OC
-    table caption of a design with a ``cut_rule``; ``decide(design,
-    observed)``, which returns the posterior, or None for a design without
-    one, and the lines to print; ``simulate`` for verify. Entries write no
-    files. The table heading of the true effect follows from the endpoint,
-    not the entry. Entries call the library through its modules, so a
-    patched module attribute reaches every call.
+    Every entry has ``design``, its design class; ``keys``, the config keys
+    it reads beyond ``COMMON_KEYS``; ``build(cfg)``, which returns the
+    design, at its derived size when the config gives none (by default
+    ``design`` called with the config's values); and ``size(cfg, design)``.
+    An entry whose design has a ``cut_rule`` declares the ``title`` and
+    ``caption_fields`` of its OC table caption, each value written as
+    ``dump_config`` writes it. ``decide(design, observed)``, which returns
+    the posterior or None and the lines to print, and ``simulate`` for
+    verify are None where the kind lacks them. Entries write no files. The
+    true effect's heading follows from the endpoint, not the entry. Library
+    functions are called through their modules, so a patched module
+    attribute reaches every call; design classes are held directly, since
+    patching a method changes the class itself.
     """
 
-    caption = decide = simulate = None
+    title = None
+    caption_fields = ()
+    decide = simulate = None
+
+    def build(self, cfg):
+        return _build(self.design, cfg)
+
+    def caption(self, design) -> str:
+        values = (f"{key}={_format_value(getattr(design, key))}" for key in self.caption_fields)
+        return f"{self.title}: {', '.join(values)}"
 
 
 class _TTEDual(DesignEntry):
+    design = tte_mod.DualCriterionTTEDesign
     keys = ("alpha", "decision_hr", "n_events", "null_hr", "sigma", "level")
-
-    def build(self, cfg):
-        return _build(tte_mod.DualCriterionTTEDesign, cfg)
+    title = "dual-criterion (tte)"
+    caption_fields = ("alpha", "null_hr", "decision_hr", "sigma", "n_events")
 
     def size(self, cfg, d):
         level = cfg.get("level", tte_mod.DEFAULT_LEVEL)
@@ -286,13 +291,6 @@ class _TTEDual(DesignEntry):
             ]
         return lines
 
-    def caption(self, d):
-        return (
-            f"dual-criterion (tte): alpha={fmt_full(d.alpha)}, "
-            f"null_hr={fmt_full(d.null_hr)}, decision_hr={fmt_full(d.decision_hr)}, "
-            f"sigma={fmt_full(d.sigma)}, n_events={d.n_events}"
-        )
-
     def decide(self, design, observed):
         estimate = _observed(observed, "an estimated hazard ratio", integral=False)
         decision = tte_mod.decide_tte(design, estimate)
@@ -311,10 +309,10 @@ class _TTEDual(DesignEntry):
 
 
 class _TTEStandard(DesignEntry):
+    design = tte_mod.StandardTTEDesign
     keys = ("alpha", "beta", "alt_hr", "null_hr", "sigma", "n_events", "level")
-
-    def build(self, cfg):
-        return _build(tte_mod.StandardTTEDesign, cfg)
+    title = "standard (tte)"
+    caption_fields = ("alpha", "beta", "alt_hr", "n_events")
 
     def size(self, cfg, d):
         return [
@@ -323,18 +321,10 @@ class _TTEStandard(DesignEntry):
             _precision_line("n", d.sigma, d.n_events, cfg.get("level", tte_mod.DEFAULT_LEVEL)),
         ]
 
-    def caption(self, d):
-        return (
-            f"standard (tte): alpha={fmt_full(d.alpha)}, beta={fmt_full(d.beta)}, "
-            f"alt_hr={fmt_full(d.alt_hr)}, n_events={d.n_events}"
-        )
-
 
 class _TTEPrecision(DesignEntry):
+    design = tte_mod.PrecisionTTEDesign
     keys = ("factor", "level", "sigma")
-
-    def build(self, cfg):
-        return _build(tte_mod.PrecisionTTEDesign, cfg)
 
     def size(self, cfg, design):
         return [f"n = {tte_mod.precision_events(design)}"]
@@ -346,14 +336,17 @@ class _Binary(DesignEntry):
 
 
 class _BinaryDual(_Binary):
+    design = binary_mod.DualCriterionBinaryDesign
     keys = ("prior_a", "prior_b", "prior_mean", "null_orr", "sig_prob", "decision_orr", "n", "n_max")
+    title = "dual-criterion (binary)"
+    caption_fields = ("prior", "null_orr", "sig_prob", "decision_orr", "n")
 
     def build(self, cfg):
-        _require_fields(binary_mod.DualCriterionBinaryDesign, cfg, "prior", "n")
+        _require_fields(self.design, cfg, "prior", "n")
         prior = prior_of(cfg)
         if "n" not in cfg:
             cfg = {**cfg, "n": _build(binary_mod.min_sample_size_grid, cfg, prior=prior)}
-        return _build(binary_mod.DualCriterionBinaryDesign, cfg, prior=prior)
+        return _build(self.design, cfg, prior=prior)
 
     def size(self, cfg, design):
         if "n" not in cfg:
@@ -365,14 +358,6 @@ class _BinaryDual(_Binary):
             f"n = {design.n}",
             "min responders for GO at n = " + ("unreachable" if r_go is None else str(r_go)),
         ]
-
-    def caption(self, d):
-        return (
-            f"dual-criterion (binary): prior=Beta({fmt_full(d.prior.a)}, "
-            f"{fmt_full(d.prior.b)}), null_orr={fmt_full(d.null_orr)}, "
-            f"sig_prob={fmt_full(d.sig_prob)}, decision_orr={fmt_full(d.decision_orr)}, "
-            f"n={d.n}"
-        )
 
     def decide(self, design, observed):
         r = _observed(observed, "a responder count", integral=True)
@@ -387,16 +372,17 @@ class _BinaryDual(_Binary):
 
 
 class _ThreeOutcome(_Binary):
+    design = three_mod.ThreeOutcomeDesign
     keys = ("p0", "p1", "alpha", "beta", "eta", "pi", "n", "r_go", "r_nogo", "n_max")
+    title = "three-outcome (binary)"
+    caption_fields = ("n", "r_nogo", "r_go")
 
     def build(self, cfg):
         boundary_keys = [key for key in ("n", "r_go", "r_nogo") if key in cfg]
         if len(boundary_keys) == 3:
-            return _build(three_mod.ThreeOutcomeDesign, cfg)
+            return _build(self.design, cfg)
         if boundary_keys:
-            raise ConfigError(
-                "three_outcome designs need either all of n, r_go, r_nogo or none"
-            )
+            raise ValueError("three_outcome designs need either all of n, r_go, r_nogo or none")
         return _build(three_mod.find_three_outcome_design, cfg)
 
     def size(self, cfg, d):
@@ -409,9 +395,6 @@ class _ThreeOutcome(_Binary):
             + "; ".join(f"({rn}, {rg})" for rn, rg in pairs)
         )
         return lines
-
-    def caption(self, d):
-        return f"three-outcome (binary): n={d.n}, r_nogo={d.r_nogo}, r_go={d.r_go}"
 
     def decide(self, design, observed):
         r = _observed(observed, "a responder count", integral=True)
@@ -434,7 +417,7 @@ COMMON_KEYS = ("endpoint", "design_kind", *RUN_KEYS)
 def _choice(cfg: dict, key: str, choices: tuple[str, ...]) -> str:
     _require(cfg, key)
     if cfg[key] not in choices:
-        raise ConfigError(f"{key} must be one of {choices}, got {cfg[key]!r}")
+        raise ValueError(f"{key} must be one of {choices}, got {cfg[key]!r}")
     return cfg[key]
 
 
@@ -463,13 +446,11 @@ def resolve_design(cfg: dict) -> ResolvedDesign:
     endpoint = _choice(cfg, "endpoint", ENDPOINTS)
     kind = _choice(cfg, "design_kind", DESIGN_KINDS)
     if (endpoint, kind) not in DESIGNS:
-        raise ConfigError(
-            f"design_kind {kind!r} is not available for endpoint {endpoint!r}"
-        )
+        raise ValueError(f"design_kind {kind!r} is not available for endpoint {endpoint!r}")
     entry = DESIGNS[endpoint, kind]
     unread = [key for key in cfg if key not in COMMON_KEYS and key not in entry.keys]
     if unread:
-        raise ConfigError(f"{endpoint} {kind} designs do not read key(s): {', '.join(unread)}")
+        raise ValueError(f"{endpoint} {kind} designs do not read key(s): {', '.join(unread)}")
     return ResolvedDesign(
         endpoint=endpoint,
         kind=kind,

@@ -57,9 +57,22 @@ class BetaParams:
         return self.a / (self.a + self.b)
 
 
+def _scalar(value, name: str) -> float:
+    """``value``, the input ``name``, as a float. An integer past the float
+    range is an infinity of its sign, which the caller's range check then
+    refuses by name, as it refuses 1e400; a sequence or an array is a
+    TypeError naming ``name``, since each input is one number."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except TypeError:
+        raise TypeError(f"{name} takes a single number, got {type(value).__name__}") from None
+
+
 def check_probability(value: float, name: str = "probability") -> float:
     """Validate that ``value`` lies in [0, 1] and return it as a float."""
-    value = float(value)
+    value = _scalar(value, name)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
@@ -67,7 +80,7 @@ def check_probability(value: float, name: str = "probability") -> float:
 
 def check_open_probability(value: float, name: str = "probability") -> float:
     """Validate that ``value`` lies strictly inside (0, 1)."""
-    value = float(value)
+    value = _scalar(value, name)
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
     return value
@@ -75,7 +88,7 @@ def check_open_probability(value: float, name: str = "probability") -> float:
 
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is positive and finite and return it as a float."""
-    value = float(value)
+    value = _scalar(value, name)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -108,15 +121,6 @@ def check_trials(n, name: str, prior: BetaParams | None = None) -> int:
     if n > most:
         raise ValueError(f"{name} must be at most {most} so that Beta shapes stay within {_MAX_SHAPE:g}, got {n}")
     return n
-
-
-def _scalar(value, name: str) -> float:
-    """``value`` as a float; a sequence or an array is a TypeError naming
-    the function, since these functions take one number at a time."""
-    try:
-        return float(value)
-    except TypeError:
-        raise TypeError(f"{name} takes a single number, got {type(value).__name__}") from None
 
 
 def std_normal_cdf(x: float) -> float:
@@ -217,7 +221,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 def beta_cdf(shape: BetaParams, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    x = float(x)
+    x = _scalar(x, "beta_cdf")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta_cdf requires x in [0, 1], got {x}")
     if x == 0.0:
@@ -245,7 +249,7 @@ def beta_cdf(shape: BetaParams, x: float) -> float:
 
 def beta_pdf(shape: BetaParams, x: float) -> float:
     """Beta density at x, evaluated in log space."""
-    x = float(x)
+    x = _scalar(x, "beta_pdf")
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_pdf requires x in (0, 1), got {x}")
     a, b = shape.a, shape.b

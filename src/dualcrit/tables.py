@@ -42,7 +42,7 @@ def render_table(caption: str, headers: list[str], rows: list[list[str]]) -> str
 
 def write_csv(path: str | Path, headers: list[str], rows: list[list]) -> None:
     """Write the headers and rows; a path that cannot be written is a
-    ``ConfigError``, as an unreadable config is."""
+    ValueError, which the CLI reports as it does an unreadable config."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -52,6 +52,4 @@ def write_csv(path: str | Path, headers: list[str], rows: list[list]) -> None:
                     [cell if isinstance(cell, str) else fmt_full(cell) for cell in row]
                 )
     except OSError as exc:
-        from .config import ConfigError  # config imports this module
-
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .distributions import check_count, check_open_probability, check_positive, std_normal_quantile
+from .distributions import _scalar, check_count, check_open_probability, check_positive, std_normal_quantile
 from .outcomes import CutRule, Decision, OperatingCharacteristics
 
 DEFAULT_SIGMA = 2.0
@@ -34,7 +34,7 @@ _CEIL_EPS = 1e-9
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
-    alpha = float(alpha)
+    alpha = _scalar(alpha, name)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5), got {alpha}")
     # The lower-tail quantile is accurate far below this floor; the floor
@@ -176,8 +176,9 @@ class PrecisionTTEDesign:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if not (math.isfinite(self.factor) and self.factor > 1.0):
-            raise ValueError(f"factor must exceed 1, got {self.factor}")
+        factor = _scalar(self.factor, "factor")
+        if not (math.isfinite(factor) and factor > 1.0):
+            raise ValueError(f"factor must exceed 1, got {factor}")
         _check_level(self.level)
         check_positive(self.sigma, "sigma")
 

@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # The two input rules in distributions.
+    # The input rules in distributions, and the float conversion they share.
     Mutant("positive-drops-isfinite", "distributions.py",
            "if not (math.isfinite(value) and value > 0.0):", "if not value > 0.0:",
            "an infinite input passes the positive-and-finite rule"),
@@ -58,6 +58,9 @@ MUTANTS = [
     Mutant("integer-drops-whole", "distributions.py",
            "if not 0 <= value <= most or value != int(value):", "if not 0 <= value <= most:",
            "a fractional count passes and is truncated"),
+    Mutant("scalar-overflow-raises", "distributions.py",
+           "    except OverflowError:\n        return math.inf if value > 0 else -math.inf\n", "",
+           "an integer past the float range raises OverflowError, not a ValueError naming it"),
     # Inclusive criteria become strict.
     Mutant("significant-strict", "binary.py",
            "beta_cdf(_posterior(prior, n, r), null_orr) >= sig_prob",
@@ -102,6 +105,13 @@ MUTANTS = [
            "tally[codes[-1]] += size - taken", "tally[codes[-1]] += size - taken - 1",
            "each chunk loses one replicate from its last run of counts"),
     # Config and CLI.
+    Mutant("caption-drops-sigma", "config.py",
+           '("alpha", "null_hr", "decision_hr", "sigma", "n_events")', '("alpha", "null_hr", "decision_hr", "n_events")',
+           "the TTE dual caption leaves out sigma"),
+    Mutant("format-beta-swapped", "config.py",
+           "Beta({_format_value(value.a)}, {_format_value(value.b)})",
+           "Beta({_format_value(value.b)}, {_format_value(value.a)})",
+           "a caption shows a prior's shapes the wrong way round"),
     Mutant("config-reads-unread-keys", "config.py",
            "    if unread:\n", "    if False:\n",
            "a key the design does not read is silently ignored"),

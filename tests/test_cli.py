@@ -385,6 +385,23 @@ def test_pinned_outputs_byte_identical():
     assert cli_outputs() == json.loads(CLI_BYTES.read_text(encoding="utf-8"))
 
 
+def test_an_unwritable_csv_is_a_value_error_raised_without_the_config_module(tmp_path):
+    # tables imports nothing from config, and its write error is a plain ValueError.
+    script = (
+        "import sys\n"
+        "from dualcrit import tables\n"
+        "try:\n"
+        f"    tables.write_csv({str(tmp_path / 'missing' / 'out.csv')!r}, ['a'], [[1.0]])\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc).startswith('cannot write '), exc\n"
+        "else:\n"
+        "    sys.exit('no error')\n"
+        "assert 'dualcrit.config' not in sys.modules, 'dualcrit.config was imported'\n"
+    )
+    result = run_module(python_args=("-c", script))
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_a_table_row_of_the_wrong_length_is_a_value_error():
     with pytest.raises(ValueError, match="^row has 1 cells, table has 2 columns$"):
         render_table("caption", ["a", "b"], [["1", "2"], ["3"]])

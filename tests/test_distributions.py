@@ -29,7 +29,9 @@ from dualcrit.distributions import (
     binomial_pmf,
     binomial_tail,
     check_count,
+    check_open_probability,
     check_positive,
+    check_probability,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -125,6 +127,45 @@ class TestCheckPositive:
         name, call = POSITIVE_INPUTS[case]
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be positive and finite, got {value}$"):
             call(value)
+
+
+# Entry points that convert an input to float, as (the error message with
+# {v} for the value, call with the input set to the value).
+FLOAT_INPUTS = {
+    "check_positive": ("x must be positive and finite, got {v}", lambda v: check_positive(v, "x")),
+    "check_open_probability": ("x must lie strictly in (0, 1), got {v}", lambda v: check_open_probability(v, "x")),
+    "check_probability": ("x must lie in [0, 1], got {v}", lambda v: check_probability(v, "x")),
+    "BetaParams.a": ("beta shape a must be positive and finite, got {v}", lambda v: BetaParams(v, 1.0)),
+    "prior_from_mean.mean": ("mean must lie strictly in (0, 1), got {v}", prior_from_mean),
+    "DualCriterionTTEDesign.sigma": (
+        "sigma must be positive and finite, got {v}", lambda v: DualCriterionTTEDesign(0.1, 0.7, sigma=v)
+    ),
+    "DualCriterionTTEDesign.alpha": ("alpha must lie in (0, 0.5), got {v}", lambda v: DualCriterionTTEDesign(v, 0.7)),
+    "StandardTTEDesign.beta": ("beta must lie in (0, 0.5), got {v}", lambda v: StandardTTEDesign(0.1, v, 0.5)),
+    "PrecisionTTEDesign.factor": ("factor must exceed 1, got {v}", lambda v: PrecisionTTEDesign(v)),
+    "PrecisionTTEDesign.level": ("level must lie strictly in (0, 1), got {v}", lambda v: PrecisionTTEDesign(1.5, v)),
+    "min_events_dual.decision_hr": (
+        "decision_hr must be positive and finite, got {v}", lambda v: min_events_dual(0.1, 1.0, v)
+    ),
+    "decide_tte.estimated_hr": ("estimated_hr must be positive and finite, got {v}", lambda v: decide_tte(_TTE_DESIGN, v)),
+    "CutRule.oc.true_hr": ("true_hr must be positive and finite, got {v}", lambda v: CutRule(0.1, 0.2, se=0.2).oc(v)),
+    "CutRule.oc.true_orr": ("true_orr must lie strictly in (0, 1), got {v}", lambda v: CutRule(1, 2, n=5).oc(v)),
+    "beta_cdf.x": ("beta_cdf requires x in [0, 1], got {v}", lambda v: beta_cdf(BetaParams(2.0, 3.0), v)),
+    "beta_pdf.x": ("beta_pdf requires x in (0, 1), got {v}", lambda v: beta_pdf(BetaParams(2.0, 3.0), v)),
+    "binomial_tail.p": ("success probability must lie in [0, 1], got {v}", lambda v: binomial_tail(10, v, 3)),
+    "std_normal_cdf": ("std_normal_cdf requires finite input", std_normal_cdf),
+    "std_normal_quantile": ("std_normal_quantile requires 0 < p < 1", std_normal_quantile),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("case", list(FLOAT_INPUTS))
+def test_an_integer_past_the_float_range_is_refused_by_name(case, sign):
+    # float() of such an integer raises OverflowError; each input takes it
+    # as an infinity of its sign, which its own range check refuses.
+    message, call = FLOAT_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(v=sign * math.inf))}$"):
+        call(sign * 10**400)
 
 
 class TestStdNormalCdf:

@@ -7,7 +7,8 @@ scipy's pmf as an independent reference. The TTE P(GO) and P(NO-GO) must
 be the normal mass beyond the estimates at which ``decide_tte`` itself
 switches, with scipy's ``ndtr`` as the reference. P(GO) must not fall as the
 true response rate rises, nor rise as the true hazard ratio rises. A
-dumped config of every design kind must parse back to the same design.
+dumped config of every design kind must parse back to the same design,
+whose OC table caption shows each dumped field as the dump writes it.
 Any config and overrides the CLI is given end in a documented exit code,
 with exactly one ``error:`` line and no traceback when the run fails.
 """
@@ -280,9 +281,17 @@ def test_dumped_config_rebuilds_an_equal_design(kind):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dump.cfg"
             dump_config(cfg, path)
-            parsed = parse_config_text(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+        parsed = parse_config_text(text)
         assert parsed == cfg
-        assert resolved_or_error(parsed) == resolved_or_error(cfg)
+        rd = resolved_or_error(cfg)
+        assert resolved_or_error(parsed) == rd
+        # A caption shows each dumped field as the dump writes it.
+        dumped = dict(line.split(" = ", 1) for line in text.splitlines())
+        if not isinstance(rd, str) and rd.entry.caption_fields:
+            fields = f" {rd.entry.caption(rd.design).partition(': ')[2]},"
+            for key in dumped.keys() & set(rd.entry.caption_fields):
+                assert f" {key}={dumped[key]}," in fields
 
     check()
 
