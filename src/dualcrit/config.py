@@ -128,9 +128,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path: str | Path) -> dict:
+    """Parse the config file at ``path``, read as UTF-8. A leading
+    byte-order mark, which many editors write, is dropped, so that it does
+    not hide the first line's comment or key."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))

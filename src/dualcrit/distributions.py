@@ -35,6 +35,9 @@ _CF_MAX_ITER = 500
 _MAX_SHAPE = 1e5
 # Integers above this do not all convert to float exactly.
 _MAX_COUNT = 2**53
+# Text is not a number, though float() parses it; an int comparison fails
+# on it without naming the input. Every check refuses it first.
+_TEXT = (str, bytes, bytearray)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,17 +60,25 @@ class BetaParams:
         return self.a / (self.a + self.b)
 
 
+def _not_one_number(value, name: str) -> TypeError:
+    """The error of an input ``name`` that is not one number."""
+    return TypeError(f"{name} takes a single number, got {type(value).__name__}")
+
+
 def _scalar(value, name: str) -> float:
     """``value``, the input ``name``, as a float. An integer past the float
     range is an infinity of its sign, which the caller's range check then
-    refuses by name, as it refuses 1e400; a sequence or an array is a
-    TypeError naming ``name``, since each input is one number."""
+    refuses by name, as it refuses 1e400; a sequence, an array or text
+    (``'2'`` or ``b'2'``) is a TypeError naming ``name``, since each input
+    is one number."""
+    if isinstance(value, _TEXT):
+        raise _not_one_number(value, name)
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
     except TypeError:
-        raise TypeError(f"{name} takes a single number, got {type(value).__name__}") from None
+        raise _not_one_number(value, name) from None
 
 
 def check_probability(value: float, name: str = "probability") -> float:
@@ -97,6 +108,8 @@ def check_positive(value: float, name: str) -> float:
 def check_integer(value, name: str, most: int) -> int:
     """Validate an integer in [0, most] and return it as an int. The range
     is checked first: int() of an infinity or a NaN raises."""
+    if isinstance(value, _TEXT):
+        raise _not_one_number(value, name)
     if not 0 <= value <= most or value != int(value):
         raise ValueError(f"{name} must be an integer in [0, {most}], got {value}")
     return int(value)
@@ -105,6 +118,8 @@ def check_integer(value, name: str, most: int) -> int:
 def check_count(value, name: str, least: int = 1) -> int:
     """Validate an integer count of at least ``least`` (0 or 1), at most
     2**53 so that it converts to float exactly, and return it as an int."""
+    if isinstance(value, _TEXT):
+        raise _not_one_number(value, name)
     if not least <= value < math.inf or value != int(value):
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign
-from .distributions import binomial_pmf, check_count, check_open_probability, check_positive
+from .distributions import _TEXT, _not_one_number, binomial_pmf, check_count, check_open_probability, check_positive
 from .outcomes import OUTCOMES, DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -52,6 +52,8 @@ _CODE = {DecisionTag.GO: 0, DecisionTag.NOGO: 1}
 
 def _key_word(value, name: str, bits: int) -> int:
     """Validate an integer that fills ``bits`` bits of the Philox key."""
+    if isinstance(value, _TEXT):
+        raise _not_one_number(value, name)
     if not 0 <= value < 2**bits:
         raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
     if value != int(value):

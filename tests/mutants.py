@@ -61,6 +61,13 @@ MUTANTS = [
     Mutant("scalar-overflow-raises", "distributions.py",
            "    except OverflowError:\n        return math.inf if value > 0 else -math.inf\n", "",
            "an integer past the float range raises OverflowError, not a ValueError naming it"),
+    Mutant("scalar-accepts-text", "distributions.py",
+           "    if isinstance(value, _TEXT):\n        raise _not_one_number(value, name)\n    try:\n", "    try:\n",
+           "float() parses '2' as a number, which the design then stores as text"),
+    Mutant("count-accepts-text", "distributions.py",
+           "    if isinstance(value, _TEXT):\n        raise _not_one_number(value, name)\n    if not least",
+           "    if not least",
+           "a count given as text fails an int comparison without naming the input"),
     # Inclusive criteria become strict.
     Mutant("significant-strict", "binary.py",
            "beta_cdf(_posterior(prior, n, r), null_orr) >= sig_prob",
@@ -115,6 +122,9 @@ MUTANTS = [
     Mutant("config-reads-unread-keys", "config.py",
            "    if unread:\n", "    if False:\n",
            "a key the design does not read is silently ignored"),
+    Mutant("config-keeps-byte-order-mark", "config.py",
+           'encoding="utf-8-sig"', 'encoding="utf-8"',
+           "a byte-order mark hides the first line's comment or joins its key"),
     Mutant("exit-ok", "cli.py", "EXIT_OK = 0", "EXIT_OK = 1", "a successful command exits 1"),
     Mutant("exit-config-error", "cli.py", "EXIT_CONFIG_ERROR = 2", "EXIT_CONFIG_ERROR = 1",
            "a config error exits 1"),

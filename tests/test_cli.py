@@ -14,7 +14,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-from scipy.special import ndtr, ndtri
 
 from dualcrit import distributions, oracle
 from dualcrit.cli import main
@@ -100,6 +99,14 @@ class TestSize:
         assert code == 0
         assert "n_min = 22" in out
         assert "min responders for GO at n = 5" in out
+        # Beta(1, 1) at null 0.3, sig_prob 0.95 and DV 0.5 needs 15 patients
+        # in exact rational arithmetic: the posterior median tie at n = 14,
+        # r = 7 is relevant, and not significant.
+        overrides = ["prior_a=1", "prior_b=1", "null_orr=0.3", "sig_prob=0.95", "decision_orr=0.5"]
+        code, out, _ = run(
+            capsys, "size", "--config", BINARY_CONFIGS[0], *(arg for item in overrides for arg in ("--set", item))
+        )
+        assert (code, out.splitlines()[0]) == (0, "n_min = 15")
 
     def test_three_outcome_search(self, capsys, tmp_path):
         cfg = tmp_path / "three.cfg"
@@ -144,6 +151,9 @@ class TestStandardDesignSigma:
         "sigma,n_events", [(3.0, None), (2.5, 77)], ids=["sized", "given_size"]
     )
     def test_size_and_oc_csv(self, capsys, tmp_path, sigma, n_events):
+        # Imported here, so that the rest of the module runs without scipy.
+        special = pytest.importorskip("scipy.special")
+        ndtr, ndtri = special.ndtr, special.ndtri
         sets = ["--set", f"sigma={sigma}"]
         if n_events is not None:
             sets = ["--set", f"n_events={n_events}", *sets]
@@ -630,6 +640,21 @@ class TestConfigRoundTrip:
         code, _, err = run(capsys, "size", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
 
+    @pytest.mark.parametrize("comments", [True, False], ids=["comment-first", "key-first"])
+    def test_a_config_with_a_byte_order_mark(self, capsys, tmp_path, comments):
+        # Many editors start a UTF-8 file with one; it must not hide the
+        # first line's comment, or become part of its key.
+        text = Path(TTE_CONFIGS[0]).read_text()
+        if not comments:
+            text = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf" + text[:1].encode())
+        expected = run(capsys, "oc", "--config", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "oc", "--config", str(marked)) == expected
+
 
 class TestVerify:
     def test_passes_on_honest_design(self, capsys):
@@ -921,6 +946,15 @@ def test_decide_on_a_posterior_in_the_millions():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout.startswith("GO: ")
+
+
+def test_binary_oc_at_the_shape_cap(capsys):
+    # The largest size the cap admits under prior_b = 1: each OC tail is one
+    # incomplete beta, so the table takes well under a second.
+    code, out, err = run(capsys, "oc", "--config", BINARY_CONFIGS[0], "--set", "n=99999")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith("n=99999")
+    assert len(out.splitlines()) == 2 + 5
 
 
 @pytest.mark.parametrize(

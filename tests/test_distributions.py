@@ -20,7 +20,7 @@ from scipy.stats import beta as scipy_beta_dist
 from scipy.stats import binom as scipy_binom
 from scipy.stats import norm as scipy_norm
 
-from dualcrit.binary import prior_from_mean
+from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, min_sample_size_grid, posterior_summary, prior_from_mean
 from dualcrit.distributions import (
     BetaParams,
     beta_cdf,
@@ -37,6 +37,7 @@ from dualcrit.distributions import (
 )
 from dualcrit.oracle import SimulationConfig, simulate_tte_oc
 from dualcrit.outcomes import CutRule
+from dualcrit.three_outcome import ThreeOutcomeDesign, find_three_outcome_design
 from dualcrit.tte import (
     DualCriterionTTEDesign,
     PrecisionTTEDesign,
@@ -166,6 +167,43 @@ def test_an_integer_past_the_float_range_is_refused_by_name(case, sign):
     message, call = FLOAT_INPUTS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(v=sign * math.inf))}$"):
         call(sign * 10**400)
+
+
+# Entry points that take an integer, as (the input's name, call with the
+# input set to the value).
+_PRIOR = BetaParams(0.0811, 1.0)
+_BINARY_DESIGN = DualCriterionBinaryDesign(_PRIOR, 0.075, 0.95, 0.175, 25)
+_THREE_OUTCOME = (0.075, 0.275, 0.05, 0.1, 0.8, 0.9)  # p0, p1, alpha, beta, eta, pi
+INTEGER_INPUTS = {
+    "SimulationConfig.seed": ("seed", lambda v: SimulationConfig(seed=v)),
+    "SimulationConfig.n_replicates": ("n_replicates", lambda v: SimulationConfig(seed=1, n_replicates=v)),
+    "SimulationConfig.scenario": ("scenario", lambda v: SimulationConfig(seed=1, scenario=v)),
+    "DualCriterionTTEDesign.n_events": ("n_events", lambda v: DualCriterionTTEDesign(0.1, 0.7, n_events=v)),
+    "DualCriterionBinaryDesign.n": ("n", lambda v: DualCriterionBinaryDesign(_PRIOR, 0.075, 0.95, 0.175, v)),
+    "ThreeOutcomeDesign.n": ("n", lambda v: ThreeOutcomeDesign(v, 5, 3, *_THREE_OUTCOME)),
+    "min_sample_size_grid.n_max": ("n_max", lambda v: min_sample_size_grid(_PRIOR, 0.075, 0.95, 0.175, v)),
+    "find_three_outcome_design.n_max": ("n_max", lambda v: find_three_outcome_design(*_THREE_OUTCOME, v)),
+    "decide_binary.r": ("responder count", lambda v: decide_binary(_BINARY_DESIGN, v)),
+    "posterior_summary.r": ("responder count", lambda v: posterior_summary(_BINARY_DESIGN, v)),
+    "binomial_tail.n": ("number of trials", lambda v: binomial_tail(v, 0.3, 1)),
+    "binomial_tail.r": ("r", lambda v: binomial_tail(10, 0.3, v)),
+    "binomial_pmf.k": ("k", lambda v: binomial_pmf(10, 0.3, v)),
+}
+
+
+@pytest.mark.parametrize("text", ["2", b"2"], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "name,call",
+    [*(pytest.param(re.match(r"(.+?) (?:must|requires) ", message)[1], call, id=case)
+       for case, (message, call) in FLOAT_INPUTS.items()),
+     *(pytest.param(*entry, id=case) for case, entry in INTEGER_INPUTS.items())],
+)
+def test_text_is_not_a_number(name, call, text):
+    # float() parses text, and an int comparison fails on it without
+    # naming the input, so each input refuses it as it refuses a list. The
+    # name of a float input heads its range message.
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} takes a single number, got {type(text).__name__}$"):
+        call(text)
 
 
 class TestStdNormalCdf:
