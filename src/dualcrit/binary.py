@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .distributions import BetaParams, beta_cdf, beta_quantile, check_integer, check_open_probability, check_positive, check_trials
+from .distributions import BetaParams, _scalar, beta_cdf, beta_quantile, check_integer, check_open_probability, check_positive, check_trials
 from .outcomes import CutRule, Decision, DecisionTag, InfeasibleDesignError, OperatingCharacteristics, first_true
 
 DEFAULT_N_MAX = 1000
@@ -27,6 +27,7 @@ DEFAULT_N_MAX = 1000
 def _check_criteria(null_orr: float, sig_prob: float, decision_orr: float) -> None:
     check_open_probability(null_orr, "null_orr")
     check_open_probability(decision_orr, "decision_orr")
+    sig_prob = _scalar(sig_prob, "sig_prob")
     if not 0.5 <= sig_prob < 1.0:
         raise ValueError(f"sig_prob must lie in [0.5, 1), got {sig_prob}")
     if decision_orr <= null_orr:

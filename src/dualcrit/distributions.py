@@ -35,9 +35,9 @@ _CF_MAX_ITER = 500
 _MAX_SHAPE = 1e5
 # Integers above this do not all convert to float exactly.
 _MAX_COUNT = 2**53
-# Text is not a number, though float() parses it; an int comparison fails
-# on it without naming the input. Every check refuses it first.
-_TEXT = (str, bytes, bytearray)
+# float() parses text and takes a bool as an int, but neither is a number:
+# a comparison fails on text, or passes a bool, without naming the input.
+_NOT_NUMBERS = (str, bytes, bytearray, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,25 +60,20 @@ class BetaParams:
         return self.a / (self.a + self.b)
 
 
-def _not_one_number(value, name: str) -> TypeError:
-    """The error of an input ``name`` that is not one number."""
-    return TypeError(f"{name} takes a single number, got {type(value).__name__}")
-
-
 def _scalar(value, name: str) -> float:
     """``value``, the input ``name``, as a float. An integer past the float
     range is an infinity of its sign, which the caller's range check then
-    refuses by name, as it refuses 1e400; a sequence, an array or text
-    (``'2'`` or ``b'2'``) is a TypeError naming ``name``, since each input
-    is one number."""
-    if isinstance(value, _TEXT):
-        raise _not_one_number(value, name)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-    except TypeError:
-        raise _not_one_number(value, name) from None
+    refuses by name, as it refuses 1e400; a sequence, an array, text
+    (``'2'`` or ``b'2'``) or a bool is a TypeError naming ``name``, since
+    each input is one number. The one place that decides what a number is."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+        except TypeError:
+            pass
+    raise TypeError(f"{name} takes a single number, got {type(value).__name__}")
 
 
 def check_probability(value: float, name: str = "probability") -> float:
@@ -107,9 +102,8 @@ def check_positive(value: float, name: str) -> float:
 
 def check_integer(value, name: str, most: int) -> int:
     """Validate an integer in [0, most] and return it as an int. The range
-    is checked first: int() of an infinity or a NaN raises."""
-    if isinstance(value, _TEXT):
-        raise _not_one_number(value, name)
+    is checked on the exact value first: int() of inf or NaN raises."""
+    _scalar(value, name)
     if not 0 <= value <= most or value != int(value):
         raise ValueError(f"{name} must be an integer in [0, {most}], got {value}")
     return int(value)
@@ -118,8 +112,7 @@ def check_integer(value, name: str, most: int) -> int:
 def check_count(value, name: str, least: int = 1) -> int:
     """Validate an integer count of at least ``least`` (0 or 1), at most
     2**53 so that it converts to float exactly, and return it as an int."""
-    if isinstance(value, _TEXT):
-        raise _not_one_number(value, name)
+    _scalar(value, name)
     if not least <= value < math.inf or value != int(value):
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .binary import DualCriterionBinaryDesign
-from .distributions import _TEXT, _not_one_number, binomial_pmf, check_count, check_open_probability, check_positive
+from .distributions import binomial_pmf, check_count, check_integer, check_open_probability, check_positive
 from .outcomes import OUTCOMES, DecisionTag, OperatingCharacteristics
 from .three_outcome import ThreeOutcomeDesign
 from .tte import DualCriterionTTEDesign
@@ -48,17 +48,6 @@ _CHUNK = 8192
 _MAX_REPLICATES = _CHUNK * 2**32
 # Tally index of a decision; every inconclusive tag shares the last.
 _CODE = {DecisionTag.GO: 0, DecisionTag.NOGO: 1}
-
-
-def _key_word(value, name: str, bits: int) -> int:
-    """Validate an integer that fills ``bits`` bits of the Philox key."""
-    if isinstance(value, _TEXT):
-        raise _not_one_number(value, name)
-    if not 0 <= value < 2**bits:
-        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -78,8 +67,9 @@ class SimulationConfig:
                 f"{_CHUNK}-replicate chunk, got {n}"
             )
         object.__setattr__(self, "n_replicates", n)
-        object.__setattr__(self, "seed", _key_word(self.seed, "seed", 64))
-        object.__setattr__(self, "scenario", _key_word(self.scenario, "scenario", 32))
+        # The seed fills 64 bits of the Philox key, the scenario 32.
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 2**64 - 1))
+        object.__setattr__(self, "scenario", check_integer(self.scenario, "scenario", 2**32 - 1))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,13 @@ class CutRule:
     se: float | None = None
 
     def __post_init__(self):
+        # Each input alone first, so that text is refused by name, not by a sum.
+        for name in ("lo", "hi"):
+            distributions._scalar(getattr(self, name), f"cut {name}")
+        if self.n is not None:
+            distributions.check_count(self.n, "n")
+        if self.se is not None:
+            distributions._scalar(self.se, "se")
         if (self.n is None) == (self.se is None):
             raise ValueError("a cut rule needs exactly one of n and se")
         # A NaN cut fails this comparison too.

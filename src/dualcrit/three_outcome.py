@@ -51,13 +51,13 @@ class ThreeOutcomeDesign:
 
     def __post_init__(self):
         check_trials(self.n, "n")
-        if not 0 <= self.r_nogo < self.r_go <= self.n:
+        check_count(self.r_nogo, "r_nogo", least=0)
+        check_count(self.r_go, "r_go")
+        if not self.r_nogo < self.r_go <= self.n:
             raise ValueError(
                 f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "
                 f"r_nogo={self.r_nogo}, r_go={self.r_go}, n={self.n}"
             )
-        check_count(self.r_nogo, "r_nogo", least=0)
-        check_count(self.r_go, "r_go")
         _check_constraints(self.p0, self.p1, self.alpha, self.beta, self.eta, self.pi)
 
     @cached_property
@@ -102,6 +102,13 @@ def feasible_pairs(
 ) -> list[tuple[int, int]]:
     """All (r_nogo, r_go) pairs at size n, at least ``MIN_BOUNDARY_GAP``
     apart, satisfying the four constraints."""
+    check_trials(n, "n")
+    _check_constraints(p0, p1, alpha, beta, eta, pi)
+    return _feasible_pairs(n, p0, p1, alpha, beta, eta, pi)
+
+
+def _feasible_pairs(n, p0, p1, alpha, beta, eta, pi) -> list[tuple[int, int]]:
+    """``feasible_pairs`` on checked inputs, once per size of a search."""
     # Each constraint is monotone in its cut point, so the admissible cut
     # points are ranges, on the tails constraint_values reads. No GO tail
     # reaches pi at n + 1, so go_hi is at most n.
@@ -140,7 +147,7 @@ def find_three_outcome_design(
     _check_constraints(p0, p1, alpha, beta, eta, pi)
     check_count(n_max, "n_max")
     for n in range(1, n_max + 1):
-        pairs = feasible_pairs(n, p0, p1, alpha, beta, eta, pi)
+        pairs = _feasible_pairs(n, p0, p1, alpha, beta, eta, pi)
         if pairs:
             r_nogo, r_go = min(pairs, key=lambda pair: (pair[1], -pair[0]))
             return ThreeOutcomeDesign(

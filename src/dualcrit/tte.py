@@ -45,7 +45,8 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
 
 
 def _check_events(n_events: float) -> None:
-    """A real-valued event count: at least 1 and within the float range."""
+    """A real-valued event count, compared as given: at least 1, at most the float range."""
+    _scalar(n_events, "n_events")
     if not n_events >= 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")
     if n_events > sys.float_info.max:

@@ -59,15 +59,39 @@ MUTANTS = [
            "if not 0 <= value <= most or value != int(value):", "if not 0 <= value <= most:",
            "a fractional count passes and is truncated"),
     Mutant("scalar-overflow-raises", "distributions.py",
-           "    except OverflowError:\n        return math.inf if value > 0 else -math.inf\n", "",
+           "        except OverflowError:\n            return math.inf if value > 0 else -math.inf\n", "",
            "an integer past the float range raises OverflowError, not a ValueError naming it"),
     Mutant("scalar-accepts-text", "distributions.py",
-           "    if isinstance(value, _TEXT):\n        raise _not_one_number(value, name)\n    try:\n", "    try:\n",
+           "_NOT_NUMBERS = (str, bytes, bytearray, bool)", "_NOT_NUMBERS = (bool,)",
            "float() parses '2' as a number, which the design then stores as text"),
+    Mutant("scalar-accepts-bool", "distributions.py",
+           "_NOT_NUMBERS = (str, bytes, bytearray, bool)", "_NOT_NUMBERS = (str, bytes, bytearray)",
+           "True passes as the number 1: a one-trial design, or sigma 1"),
     Mutant("count-accepts-text", "distributions.py",
-           "    if isinstance(value, _TEXT):\n        raise _not_one_number(value, name)\n    if not least",
-           "    if not least",
+           "    _scalar(value, name)\n    if not least", "    if not least",
            "a count given as text fails an int comparison without naming the input"),
+    Mutant("integer-accepts-text", "distributions.py",
+           "    _scalar(value, name)\n    if not 0 <= value", "    if not 0 <= value",
+           "a responder count or a seed given as a list fails a comparison without naming the input"),
+    Mutant("sig-prob-accepts-text", "binary.py",
+           '    sig_prob = _scalar(sig_prob, "sig_prob")\n', "",
+           "sig_prob given as text fails a comparison without naming the input"),
+    Mutant("events-accepts-text", "tte.py",
+           '    _scalar(n_events, "n_events")\n', "",
+           "a real-valued event count given as text fails a comparison without naming the input"),
+    Mutant("three-outcome-relates-first", "three_outcome.py",
+           '        check_count(self.r_nogo, "r_nogo", least=0)\n        check_count(self.r_go, "r_go")\n'
+           "        if not self.r_nogo < self.r_go <= self.n:\n            raise ValueError(\n"
+           '                f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "\n'
+           '                f"r_nogo={self.r_nogo}, r_go={self.r_go}, n={self.n}"\n            )\n',
+           "        if not 0 <= self.r_nogo < self.r_go <= self.n:\n            raise ValueError(\n"
+           '                f"boundaries must satisfy 0 <= r_nogo < r_go <= n, got "\n'
+           '                f"r_nogo={self.r_nogo}, r_go={self.r_go}, n={self.n}"\n            )\n'
+           '        check_count(self.r_nogo, "r_nogo", least=0)\n        check_count(self.r_go, "r_go")\n',
+           "the boundaries are compared before each is checked, so text fails without naming them"),
+    Mutant("cut-rule-skips-n", "outcomes.py",
+           '        if self.n is not None:\n            distributions.check_count(self.n, "n")\n', "",
+           "a cut rule's n given as text fails a sum, and True passes as one trial"),
     # Inclusive criteria become strict.
     Mutant("significant-strict", "binary.py",
            "beta_cdf(_posterior(prior, n, r), null_orr) >= sig_prob",

@@ -6,6 +6,7 @@ integer-shape beta CDFs, scipy's Cephes-based special functions, and
 mpmath where it is installed.
 """
 
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -20,7 +21,8 @@ from scipy.stats import beta as scipy_beta_dist
 from scipy.stats import binom as scipy_binom
 from scipy.stats import norm as scipy_norm
 
-from dualcrit.binary import DualCriterionBinaryDesign, decide_binary, min_sample_size_grid, posterior_summary, prior_from_mean
+import dualcrit
+from dualcrit.binary import DualCriterionBinaryDesign, prior_from_mean
 from dualcrit.distributions import (
     BetaParams,
     beta_cdf,
@@ -37,7 +39,7 @@ from dualcrit.distributions import (
 )
 from dualcrit.oracle import SimulationConfig, simulate_tte_oc
 from dualcrit.outcomes import CutRule
-from dualcrit.three_outcome import ThreeOutcomeDesign, find_three_outcome_design
+from dualcrit.three_outcome import ThreeOutcomeDesign
 from dualcrit.tte import (
     DualCriterionTTEDesign,
     PrecisionTTEDesign,
@@ -169,41 +171,112 @@ def test_an_integer_past_the_float_range_is_refused_by_name(case, sign):
         call(sign * 10**400)
 
 
-# Entry points that take an integer, as (the input's name, call with the
-# input set to the value).
+# The input net: every numeric parameter of every public callable, read
+# from its signature, refuses what is not one number, by name. A baseline
+# is one valid call; the net puts each bad value in one parameter at a time.
+def _call(*args, **kwargs):
+    return args, kwargs
+
+
 _PRIOR = BetaParams(0.0811, 1.0)
+_SHAPE = BetaParams(2.0, 3.0)
 _BINARY_DESIGN = DualCriterionBinaryDesign(_PRIOR, 0.075, 0.95, 0.175, 25)
+_STANDARD = StandardTTEDesign(0.1, 0.1, 0.5)
 _THREE_OUTCOME = (0.075, 0.275, 0.05, 0.1, 0.8, 0.9)  # p0, p1, alpha, beta, eta, pi
-INTEGER_INPUTS = {
-    "SimulationConfig.seed": ("seed", lambda v: SimulationConfig(seed=v)),
-    "SimulationConfig.n_replicates": ("n_replicates", lambda v: SimulationConfig(seed=1, n_replicates=v)),
-    "SimulationConfig.scenario": ("scenario", lambda v: SimulationConfig(seed=1, scenario=v)),
-    "DualCriterionTTEDesign.n_events": ("n_events", lambda v: DualCriterionTTEDesign(0.1, 0.7, n_events=v)),
-    "DualCriterionBinaryDesign.n": ("n", lambda v: DualCriterionBinaryDesign(_PRIOR, 0.075, 0.95, 0.175, v)),
-    "ThreeOutcomeDesign.n": ("n", lambda v: ThreeOutcomeDesign(v, 5, 3, *_THREE_OUTCOME)),
-    "min_sample_size_grid.n_max": ("n_max", lambda v: min_sample_size_grid(_PRIOR, 0.075, 0.95, 0.175, v)),
-    "find_three_outcome_design.n_max": ("n_max", lambda v: find_three_outcome_design(*_THREE_OUTCOME, v)),
-    "decide_binary.r": ("responder count", lambda v: decide_binary(_BINARY_DESIGN, v)),
-    "posterior_summary.r": ("responder count", lambda v: posterior_summary(_BINARY_DESIGN, v)),
-    "binomial_tail.n": ("number of trials", lambda v: binomial_tail(v, 0.3, 1)),
-    "binomial_tail.r": ("r", lambda v: binomial_tail(10, 0.3, v)),
-    "binomial_pmf.k": ("k", lambda v: binomial_pmf(10, 0.3, v)),
+_CFG = SimulationConfig(seed=1, n_replicates=10)
+BASELINES = {
+    "BetaParams": _call(2.0, 3.0),
+    "CutRule": _call(1, 2, n=5),
+    "DualCriterionBinaryDesign": _call(_PRIOR, 0.075, 0.95, 0.175, 25),
+    "DualCriterionTTEDesign": _call(0.1, 0.7),
+    "PrecisionTTEDesign": _call(1.5),
+    "SimulationConfig": _call(seed=1),
+    "StandardTTEDesign": _call(0.1, 0.1, 0.5),
+    "ThreeOutcomeDesign": _call(10, 5, 3, *_THREE_OUTCOME),
+    "beta_cdf": _call(_SHAPE, 0.3),
+    "beta_pdf": _call(_SHAPE, 0.3),
+    "beta_quantile": _call(_SHAPE, 0.3),
+    "binomial_pmf": _call(10, 0.3, 2),
+    "binomial_tail": _call(10, 0.3, 2),
+    "decide_binary": _call(_BINARY_DESIGN, 5),
+    "decide_tte": _call(_TTE_DESIGN, 0.7),
+    "feasible_pairs": _call(27, *_THREE_OUTCOME),
+    "find_three_outcome_design": _call(*_THREE_OUTCOME),
+    "implied_precision_factor": _call(2.0, 52),
+    "min_events_dual": _call(0.1, 1.0, 0.7),
+    "min_sample_size_grid": _call(_PRIOR, 0.075, 0.95, 0.175),
+    "oc_binary": _call(_BINARY_DESIGN, 0.2),
+    "oc_dual_tte": _call(_TTE_DESIGN, 0.7),
+    "oc_standard_tte": _call(_STANDARD, 2.0, 52, 0.7),
+    "posterior_summary": _call(_BINARY_DESIGN, 5),
+    "prior_from_mean": _call(0.2),
+    "significance_threshold": _call(0.1, 1.0, 2.0, 52),
+    "simulate_binary_oc": _call(_BINARY_DESIGN, 0.2, _CFG),
+    "simulate_tte_oc": _call(_TTE_DESIGN, 0.7, _CFG),
+    "standard_design_events": _call(_STANDARD, 2.0),
+    "std_normal_cdf": _call(0.5),
+    "std_normal_quantile": _call(0.3),
+    "three_outcome_oc": _call(ThreeOutcomeDesign(10, 5, 3, *_THREE_OUTCOME), 0.2),
 }
+# The name an input goes by in its messages, where that is not the parameter's.
+LABELS = {
+    ("BetaParams", "a"): "beta shape a",
+    ("BetaParams", "b"): "beta shape b",
+    ("CutRule", "lo"): "cut lo",
+    ("CutRule", "hi"): "cut hi",
+    ("beta_cdf", "x"): "beta_cdf",
+    ("beta_pdf", "x"): "beta_pdf",
+    ("binomial_pmf", "n"): "number of trials",
+    ("binomial_pmf", "p"): "success probability",
+    ("binomial_tail", "n"): "number of trials",
+    ("binomial_tail", "p"): "success probability",
+    ("decide_binary", "r"): "responder count",
+    ("posterior_summary", "r"): "responder count",
+    ("std_normal_cdf", "x"): "std_normal_cdf",
+    ("std_normal_quantile", "p"): "std_normal_quantile",
+}
+# Records the library returns: their numbers are results, not inputs.
+RECORDS = {"OperatingCharacteristics", "PosteriorSummary", "SimulatedOC"}
+NUMERIC = {int, float, int | None, float | None}
+NOT_NUMBERS = ["2", b"2", [2], True]
 
 
-@pytest.mark.parametrize("text", ["2", b"2"], ids=["str", "bytes"])
-@pytest.mark.parametrize(
-    "name,call",
-    [*(pytest.param(re.match(r"(.+?) (?:must|requires) ", message)[1], call, id=case)
-       for case, (message, call) in FLOAT_INPUTS.items()),
-     *(pytest.param(*entry, id=case) for case, entry in INTEGER_INPUTS.items())],
-)
-def test_text_is_not_a_number(name, call, text):
-    # float() parses text, and an int comparison fails on it without
-    # naming the input, so each input refuses it as it refuses a list. The
-    # name of a float input heads its range message.
-    with pytest.raises(TypeError, match=f"^{re.escape(name)} takes a single number, got {type(text).__name__}$"):
-        call(text)
+def _numeric_parameters(name):
+    try:
+        parameters = inspect.signature(getattr(dualcrit, name), eval_str=True).parameters.values()
+    except ValueError:  # an exception class has no signature to read
+        return []
+    return [p.name for p in parameters if p.annotation in NUMERIC]
+
+
+NUMERIC_INPUTS = [(name, param) for name in dualcrit.__all__ if name not in RECORDS
+                  for param in _numeric_parameters(name)]
+
+
+def test_every_public_callable_that_takes_a_number_has_a_baseline():
+    takes_numbers = {name for name, _ in NUMERIC_INPUTS}
+    assert takes_numbers - set(BASELINES) == set()
+    assert set(BASELINES) - takes_numbers == set()
+    assert {name for name, _ in LABELS} - takes_numbers == set()
+
+
+@pytest.mark.parametrize("name", list(BASELINES))
+def test_each_baseline_is_a_valid_call(name):
+    args, kwargs = BASELINES[name]
+    getattr(dualcrit, name)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("name,param", NUMERIC_INPUTS, ids=[f"{n}.{p}" for n, p in NUMERIC_INPUTS])
+def test_every_numeric_input_refuses_what_is_not_one_number(name, param, value):
+    # float() parses text and takes a bool, and a comparison fails on text
+    # and passes a bool, in each case without naming the input.
+    function = getattr(dualcrit, name)
+    bound = inspect.signature(function).bind(*BASELINES[name][0], **BASELINES[name][1])
+    bound.arguments[param] = value
+    label = LABELS.get((name, param), param)
+    with pytest.raises(TypeError, match=f"^{re.escape(label)} takes a single number, got {type(value).__name__}$"):
+        function(*bound.args, **bound.kwargs)
 
 
 class TestStdNormalCdf:
